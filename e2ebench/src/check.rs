@@ -11,7 +11,8 @@ use crate::net::Answers;
 
 /// The reference reply payload for `profile`, computed on `exec`.
 pub fn answer(exec: &Executor<'_>, profile: &WireProfile) -> Result<Vec<u8>, String> {
-    let atoms = corpus::admitted_atoms(profile).map_err(|e| e.to_string())?;
+    let atoms = corpus::admitted_atoms(profile.iter().map(|(t, w)| (t.as_str(), *w)))
+        .map_err(|e| e.to_string())?;
     let pairs = PairwiseCache::build(&atoms, exec).map_err(|e| e.to_string())?;
     let ranked = Peps::new(&atoms, exec, &pairs, PepsVariant::Complete)
         .top_k(K as usize)

@@ -516,13 +516,15 @@ pub fn streams(
     }
 }
 
-/// Builds the executor-ready atoms of a wire profile exactly as the
-/// server admits them: parsed, stably sorted by descending intensity,
-/// re-indexed.
-pub fn admitted_atoms(profile: &WireProfile) -> relstore::Result<Vec<PrefAtom>> {
-    let mut parsed = profile
-        .iter()
-        .map(|(text, w)| parse_predicate(text).map(|p| (p, *w)))
+/// Builds executor-ready atoms from (predicate text, intensity) pairs
+/// exactly as the server admits a request: parsed, stably sorted by
+/// descending intensity, re-indexed.
+pub fn admitted_atoms<'a>(
+    atoms: impl IntoIterator<Item = (&'a str, f64)>,
+) -> relstore::Result<Vec<PrefAtom>> {
+    let mut parsed = atoms
+        .into_iter()
+        .map(|(text, w)| parse_predicate(text).map(|p| (p, w)))
         .collect::<relstore::Result<Vec<_>>>()?;
     parsed.sort_by(|a, b| b.1.total_cmp(&a.1));
     Ok(parsed

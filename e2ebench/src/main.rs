@@ -2,18 +2,19 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path e2ebench/Cargo.toml -- \
-//!     --workload hot_zipf --seed 1 --seconds 10 --trace 0
+//!     --workload hot_zipf --seed 1 --seconds 15 --trace 0
 //! ```
 //!
 //! The driver starts the real `serve::Server` in a child process of its
 //! own (this binary, `serve` mode), three times, and takes the median
-//! set-up time. Against the last one it sends seeded request streams
-//! from one thread over one connection: a warm-up, an open loop of
-//! Poisson arrivals timed from when each request was due, and a closed
-//! loop with a fixed window in flight. It then has the server ingest
-//! deltas, reconciles the server's wire `Stats` counters with its own,
-//! and checks every answer against a cold executor. `--trace 1` also
-//! repeats the open loop with client spans and replays the stream
+//! set-up time. The last one ingests deltas (before the reads in the
+//! read-only workloads, beside them in `ingest_mix`) and gets seeded
+//! request streams from one thread over one connection: a warm-up, an
+//! open loop of Poisson arrivals timed from when each request was due,
+//! and a closed loop with a fixed window in flight. The driver then
+//! reconciles the server's wire `Stats` counters with its own and
+//! checks every answer against a cold executor. `--trace 1` also
+//! repeats half the open loop with client spans and replays the stream
 //! in-process through each layer's public functions, and prints the
 //! per-layer metrics instead of the end-to-end ones. The last line of
 //! standard output is one JSON object.

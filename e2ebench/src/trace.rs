@@ -13,9 +13,9 @@ use hypre_core::prelude::{
     BatchRequest, BatchScheduler, Executor, PairwiseCache, Peps, PrefAtom, ProfileCache,
 };
 use hypre_core::serve::wire::{self, Request, Response};
-use relstore::{parse_predicate, Database};
+use relstore::Database;
 
-use crate::corpus::{Req, WireProfile};
+use crate::corpus::{self, Req, WireProfile};
 use crate::net::top_k;
 use crate::stats;
 
@@ -188,17 +188,9 @@ pub fn replay(
                 return Err("replayed a frame that is not TopK".into());
             };
             let s = t.now();
-            let mut parsed = atoms
-                .iter()
-                .map(|a| parse_predicate(&a.predicate).map(|p| (p, a.intensity)))
-                .collect::<relstore::Result<Vec<_>>>()
-                .map_err(|e| e.to_string())?;
-            parsed.sort_by(|a, b| b.1.total_cmp(&a.1));
-            let atoms: Vec<PrefAtom> = parsed
-                .into_iter()
-                .enumerate()
-                .map(|(i, (p, w))| PrefAtom::new(i, p, w))
-                .collect();
+            let atoms =
+                corpus::admitted_atoms(atoms.iter().map(|a| (a.predicate.as_str(), a.intensity)))
+                    .map_err(|e| e.to_string())?;
             t.record("relstore.parse_predicate", None, rid, s, t.now());
             requests.push(BatchRequest::new(atoms, k as usize).with_variant(variant));
         }
