@@ -413,23 +413,9 @@ fn measure(
     let open = client
         .open_loop(&streams.open, None)
         .map_err(|e| format!("open loop: {e}"))?;
-    let capacity_secs = opts.seconds / 2.0;
     let opened = client
         .server_stats()
         .map_err(|e| format!("stats frame: {e}"))?;
-    let capacity_ok = client
-        .closed_loop(
-            &streams.closed,
-            w.window(),
-            Duration::from_secs_f64(capacity_secs),
-            true,
-        )
-        .map_err(|e| format!("closed loop: {e}"))?;
-    let closed = client
-        .server_stats()
-        .map_err(|e| format!("stats frame: {e}"))?;
-    let open_phase = since(&warmed, &opened);
-    let closed_phase = since(&opened, &closed);
     let mut tracer = Tracer::new();
     let traced_open = if opts.trace {
         let half: Vec<Req> = streams
@@ -447,6 +433,9 @@ fn measure(
         None
     };
 
+    // ingest_mix stops its writer before the closed loop: capacity is
+    // then read capacity on the final epoch, not a function of how many
+    // deltas happen to overlap the phase.
     let mut last_answers = net::Answers::default();
     let writer_lines = if w == Workload::IngestMix {
         server.send("STOPWRITER")?;
@@ -468,6 +457,24 @@ fn measure(
     } else {
         tail_lines
     };
+
+    let capacity_secs = opts.seconds / 2.0;
+    let before_closed = client
+        .server_stats()
+        .map_err(|e| format!("stats frame: {e}"))?;
+    let capacity_ok = client
+        .closed_loop(
+            &streams.closed,
+            w.window(),
+            Duration::from_secs_f64(capacity_secs),
+            true,
+        )
+        .map_err(|e| format!("closed loop: {e}"))?;
+    let closed = client
+        .server_stats()
+        .map_err(|e| format!("stats frame: {e}"))?;
+    let open_phase = since(&warmed, &opened);
+    let closed_phase = since(&before_closed, &closed);
     let ingested = ingests(&writer_lines)?;
     let stats = client
         .server_stats()

@@ -151,7 +151,7 @@ struct Group {
 /// Replays `reqs` in chunks of `batch` through the public calls the
 /// server makes, until the stream or `budget` runs out. Each chunk is
 /// decoded, parsed and run through `BatchScheduler::run`, its replies
-/// encoded; then the same chunk is replayed through the scheduler's
+/// encoded; the same chunk is also replayed through the scheduler's
 /// children (`with_cache_pinned`, `tuple_set`, `PairwiseCache::build`,
 /// `Peps::top_k_multi`) so the scheduler's self time can be taken.
 pub fn replay(
