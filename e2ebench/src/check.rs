@@ -72,58 +72,3 @@ pub fn fixed(
     }
     Ok(())
 }
-
-/// Checks answers served while deltas were published: each must equal
-/// the cold answer over one published epoch's prefix — the warm prefix
-/// plus the first `j` deltas, `0 ≤ j ≤ applied` — and each answer in
-/// `last` (read after the final delta) the one over all `applied`.
-pub fn epochs(
-    mut db: Database,
-    deltas: &[corpus::Delta],
-    applied: usize,
-    profiles: &[WireProfile],
-    answers: &Answers,
-    last: &Answers,
-    verdict: &mut Verdict,
-) -> Result<(), String> {
-    let mut pending: Vec<(u32, &Vec<u8>, u64)> = answers
-        .by_profile
-        .iter()
-        .flat_map(|(&p, seen)| seen.iter().map(move |(payload, n)| (p, payload, *n)))
-        .collect();
-    verdict.distinct += pending.len();
-    for j in 0..=applied {
-        if j > 0 {
-            corpus::append(&mut db, &deltas[j - 1]).map_err(|e| e.to_string())?;
-        }
-        let mut wanted: Vec<u32> = pending.iter().map(|(p, _, _)| *p).collect();
-        if j == applied {
-            wanted.extend(last.by_profile.keys());
-        }
-        wanted.sort_unstable();
-        wanted.dedup();
-        if wanted.is_empty() {
-            continue;
-        }
-        let exec = Executor::new(&db, BaseQuery::dblp());
-        for p in wanted {
-            let expected = answer(&exec, &profiles[p as usize])?;
-            pending.retain(|(q, payload, _)| !(*q == p && **payload == expected));
-            if j == applied {
-                for (payload, n) in last.by_profile.get(&p).into_iter().flatten() {
-                    verdict.distinct += 1;
-                    if *payload != expected {
-                        verdict.miss(
-                            *n,
-                            format!("profile {p}: reply after the final delta differs"),
-                        );
-                    }
-                }
-            }
-        }
-    }
-    for (p, _, n) in pending {
-        verdict.miss(n, format!("profile {p}: reply matches no published epoch"));
-    }
-    Ok(())
-}

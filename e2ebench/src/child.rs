@@ -5,19 +5,21 @@
 //!
 //! | command | effect |
 //! |---|---|
-//! | `WRITER <every_ms> <max>` | start the delta writer (`0` = back to back) |
-//! | `JOIN` | wait for the writer to finish its deltas |
-//! | `STOPWRITER` | stop the writer after its current delta |
-//! | `REWARM` | time a full `ProfileCache::warm` over the writer's corpus |
+//! | `DELTA` | append the next delta to the ingest corpus and ingest it |
+//! | `REWARM` | time a full `ProfileCache::warm` over the ingest corpus |
 //! | `STOP` (or end of input) | report counters and peak memory, shut down |
+//!
+//! The server serves a snapshot of every generated paper, so its answers
+//! never change. Deltas go to an `EpochCache` of its own, warmed on the
+//! first [`PAPERS`] papers: a delta then costs what it costs a served
+//! cache, on the server's core, while the answers stay checkable against
+//! one corpus.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, Write};
 use std::path::PathBuf;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dblp_workload::{extract, load, PaperGraph};
 use hypre_core::prelude::{
@@ -26,7 +28,7 @@ use hypre_core::prelude::{
 use hypre_core::serve::{ServeConfig, Server};
 use relstore::{parse_predicate, Database, Predicate};
 
-use crate::corpus::{self, Delta, Workload, PAPERS};
+use crate::corpus::{self, Delta, Workload, PAPERS, SERVED_PAPERS};
 
 /// Prints one protocol line and flushes it.
 macro_rules! say {
@@ -88,12 +90,12 @@ pub fn main(args: &[String]) -> Result<(), String> {
         crate::net::pin_to_cpu(nproc - 1).map_err(err("pin server"))?;
     }
     let dataset = phase("dblp.generate_s", || {
-        dblp_workload::generate(&corpus::generator(opts.seed, w.generated_papers()))
+        dblp_workload::generate(&corpus::generator(opts.seed, SERVED_PAPERS))
     });
     // Profiles and the cold universe are drawn from the first PAPERS
-    // papers; the server's database holds every generated paper, and the
-    // snapshot is warmed on the first `warm_papers` (the rest arrive as
-    // deltas).
+    // papers; the server's database and snapshot hold every generated
+    // paper, and the ingest cache starts from the first PAPERS (the rest
+    // arrive as deltas).
     let base = corpus::prefix(&dataset, PAPERS);
     let extracted = phase("dblp.extract_s", || {
         extract(
@@ -107,7 +109,7 @@ pub fn main(args: &[String]) -> Result<(), String> {
     let (served_db, warm_db) = phase("relstore.load_s", || -> Result<_, String> {
         Ok((
             load(&dataset).map_err(err("load corpus"))?,
-            load(&corpus::prefix(&dataset, w.warm_papers())).map_err(err("load prefix"))?,
+            load(&corpus::prefix(&dataset, PAPERS)).map_err(err("load prefix"))?,
         ))
     })?;
     let graph = phase("graph.load_s", || -> Result<_, String> {
@@ -138,7 +140,7 @@ pub fn main(args: &[String]) -> Result<(), String> {
         .collect::<relstore::Result<_>>()
         .map_err(err("pool predicate"))?;
     let cache = phase("exec.warm_s", || {
-        ProfileCache::warm(&warm_db, BaseQuery::dblp(), &predicates)
+        ProfileCache::warm(&served_db, BaseQuery::dblp(), &predicates)
     })
     .map_err(err("warm"))?;
     phase("exec.snapshot_save_s", || {
@@ -151,17 +153,20 @@ pub fn main(args: &[String]) -> Result<(), String> {
         .len();
     say!("PHASE\texec.snapshot_bytes\t{bytes}");
     let (loaded, _) = phase("exec.snapshot_load_s", || {
-        ProfileCache::load_from(&opts.snapshot, &warm_db)
+        ProfileCache::load_from(&opts.snapshot, &served_db)
     })
     .map_err(err("snapshot load"))?;
-    let epochs = Arc::new(EpochCache::new(loaded));
     let config = ServeConfig {
         shards: 1,
         parallelism: Parallelism::Sequential,
         ..ServeConfig::default()
     };
     let server = phase("serve.start_s", || {
-        Server::start(Arc::new(served_db), Arc::clone(&epochs), config)
+        Server::start(
+            Arc::new(served_db),
+            Arc::new(EpochCache::new(loaded)),
+            config,
+        )
     })
     .map_err(err("server start"))?;
 
@@ -180,9 +185,19 @@ pub fn main(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
-    let deltas = corpus::deltas(&dataset, w.warm_papers());
+    let deltas = corpus::deltas(&dataset, PAPERS);
     drop((dataset, base));
-    serve(server, epochs, warm_db, deltas, &predicates)
+    // The ingest cache is warmed after READY: it is the deltas' starting
+    // point, not part of the server's set-up.
+    let ingest = ProfileCache::warm(&warm_db, BaseQuery::dblp(), &predicates)
+        .map_err(err("ingest cache warm"))?;
+    serve(
+        server,
+        EpochCache::new(ingest),
+        warm_db,
+        &deltas,
+        &predicates,
+    )
 }
 
 /// The cold universe in popularity order: relational atoms plus
@@ -232,142 +247,60 @@ fn cold_universe(base: &dblp_workload::DblpDataset) -> Result<Vec<String>, Strin
     Ok(corpus::by_popularity(named))
 }
 
-/// One delta's record, as printed in an `INGEST` line.
-struct Ingested {
-    sched_ns: u64,
-    append_ns: u64,
-    ingest_ns: u64,
-    done_ns: u64,
-    rows: usize,
-    changed: usize,
-    new_tuples: usize,
-    ok: bool,
-    retired: usize,
-}
-
-struct Writer {
-    stop: Sender<()>,
-    handle: JoinHandle<(Database, Vec<Ingested>)>,
-}
-
-/// Appends and ingests `deltas` into `copy`, the i-th due `every × i`
-/// after the start (back to back when `every` is zero), until the deltas
-/// run out or `stop` fires.
-fn write_deltas(
-    epochs: &EpochCache,
-    mut copy: Database,
-    deltas: &[Delta],
-    every: Duration,
-    stop: &Receiver<()>,
-) -> (Database, Vec<Ingested>) {
-    let t0 = Instant::now();
-    let ns = |t: Instant| t.duration_since(t0).as_nanos() as u64;
-    let mut out = Vec::new();
-    for (i, delta) in deltas.iter().enumerate() {
-        let due = if every.is_zero() {
-            Instant::now()
-        } else {
-            t0 + every * i as u32
-        };
-        let wait = due.saturating_duration_since(Instant::now());
-        match stop.recv_timeout(wait) {
-            Ok(()) | Err(RecvTimeoutError::Disconnected) => break,
-            Err(RecvTimeoutError::Timeout) => {}
-        }
-        let a = Instant::now();
-        let appended = corpus::append(&mut copy, delta);
-        let b = Instant::now();
-        let report = appended
-            .map_err(|e| e.to_string())
-            .and_then(|()| epochs.ingest(&copy, 0).map_err(|e| e.to_string()));
-        let c = Instant::now();
-        if let Err(e) = &report {
-            eprintln!("e2ebench server: ingest {i} failed: {e}");
-        }
-        out.push(Ingested {
-            sched_ns: ns(due),
-            append_ns: ns(b) - ns(a),
-            ingest_ns: ns(c) - ns(b),
-            done_ns: ns(c),
-            rows: delta.rows(),
-            changed: report.as_ref().map_or(0, |r| r.changed.len()),
-            new_tuples: report.as_ref().map_or(0, |r| r.new_tuples),
-            ok: report.is_ok(),
-            retired: epochs.retired_count(),
-        });
+/// Appends `delta` to `copy` with `Table::insert`, ingests it into
+/// `epochs` and prints one `INGEST` line: append ns, ingest ns, rows,
+/// changed predicates, new tuples, ok, epochs retired.
+fn ingest_one(epochs: &EpochCache, copy: &mut Database, delta: &Delta, i: usize) {
+    let a = Instant::now();
+    let appended = corpus::append(copy, delta);
+    let b = Instant::now();
+    let report = appended
+        .map_err(|e| e.to_string())
+        .and_then(|()| epochs.ingest(copy, 0).map_err(|e| e.to_string()));
+    let c = Instant::now();
+    if let Err(e) = &report {
+        eprintln!("e2ebench server: ingest {i} failed: {e}");
     }
-    (copy, out)
+    say!(
+        "INGEST\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+        (b - a).as_nanos(),
+        (c - b).as_nanos(),
+        delta.rows(),
+        report.as_ref().map_or(0, |r| r.changed.len()),
+        report.as_ref().map_or(0, |r| r.new_tuples),
+        u8::from(report.is_ok()),
+        epochs.retired_count()
+    );
 }
 
+/// Obeys the benchmark's commands on stdin until `STOP` or end of input.
 fn serve(
     server: Server,
-    epochs: Arc<EpochCache>,
-    warm_db: Database,
-    deltas: Vec<Delta>,
+    epochs: EpochCache,
+    mut copy: Database,
+    deltas: &[Delta],
     predicates: &[Predicate],
 ) -> Result<(), String> {
-    let deltas = Arc::new(deltas);
-    let mut corpus_now = Some(warm_db);
-    let mut writer: Option<Writer> = None;
+    let mut next = 0usize;
     let stdin = io::stdin();
     for line in stdin.lock().lines() {
         let line = line.map_err(err("stdin"))?;
-        let words: Vec<&str> = line.split_whitespace().collect();
-        match words.as_slice() {
-            ["WRITER", every_ms, max] => {
-                let every = Duration::from_millis(every_ms.parse().map_err(err("every_ms"))?);
-                let max: usize = max.parse().map_err(err("max"))?;
-                let copy = corpus_now.take().ok_or("writer already running")?;
-                let (stop, stopped) = mpsc::channel();
-                let epochs = Arc::clone(&epochs);
-                let deltas = Arc::clone(&deltas);
-                let handle = std::thread::Builder::new()
-                    .name("e2ebench-writer".into())
-                    .spawn(move || {
-                        let n = max.min(deltas.len());
-                        write_deltas(&epochs, copy, &deltas[..n], every, &stopped)
-                    })
-                    .map_err(err("spawn writer"))?;
-                writer = Some(Writer { stop, handle });
+        match line.trim() {
+            "DELTA" => {
+                let delta = deltas.get(next).ok_or("no delta left")?;
+                ingest_one(&epochs, &mut copy, delta, next);
+                next += 1;
             }
-            ["JOIN"] | ["STOPWRITER"] => {
-                let w = writer.take().ok_or("no writer running")?;
-                if words[0] == "STOPWRITER" {
-                    let _ = w.stop.send(());
-                }
-                let (copy, records) = w.handle.join().map_err(|_| "writer panicked")?;
-                for r in &records {
-                    say!(
-                        "INGEST\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                        r.sched_ns,
-                        r.append_ns,
-                        r.ingest_ns,
-                        r.done_ns,
-                        r.rows,
-                        r.changed,
-                        r.new_tuples,
-                        u8::from(r.ok),
-                        r.retired
-                    );
-                }
-                say!("WRITER_DONE\t{}", records.len());
-                corpus_now = Some(copy);
-            }
-            ["REWARM"] => {
-                let db = corpus_now.as_ref().ok_or("writer still running")?;
+            "REWARM" => {
                 let t = Instant::now();
-                let cache =
-                    ProfileCache::warm(db, BaseQuery::dblp(), predicates).map_err(err("rewarm"))?;
+                let cache = ProfileCache::warm(&copy, BaseQuery::dblp(), predicates)
+                    .map_err(err("rewarm"))?;
                 say!("REWARM\t{}", t.elapsed().as_nanos());
                 drop(cache);
             }
-            ["STOP"] => break,
+            "STOP" => break,
             _ => return Err(format!("unknown command {line:?}")),
         }
-    }
-    if let Some(w) = writer.take() {
-        let _ = w.stop.send(());
-        let _ = w.handle.join();
     }
     let s = server.stats();
     say!(

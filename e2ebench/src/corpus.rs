@@ -4,7 +4,6 @@
 //! give equal inputs in both processes.
 
 use std::collections::{HashMap, HashSet};
-use std::time::Duration;
 
 use dblp_workload::{gen, DblpDataset, ExtractedWorkload};
 use hypre_core::prelude::{DerivedCatalog, HypreGraph, PrefAtom, UserId};
@@ -12,14 +11,19 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use relstore::{parse_predicate, Database, Predicate, Value};
 
-/// Papers in the served corpus.
+/// Papers the preferences are extracted from and the ingest cache is
+/// warmed on.
 pub const PAPERS: usize = 20_000;
 /// Papers per append-only delta.
 pub const DELTA_PAPERS: usize = 100;
-/// Deltas the read-only workloads ingest before their reads.
-pub const TAIL_DELTAS: usize = 3;
-/// Delta period of `ingest_mix`'s writer.
-pub const MIX_EVERY: Duration = Duration::from_secs(2);
+/// Rounds a run's measured phases are cut into. Each round ingests one
+/// delta, then runs its share of the open loop and of the closed loop,
+/// so every metric's samples are spread over the whole run and a host
+/// that runs slower for a few seconds moves one round, not a metric.
+pub const ROUNDS: usize = 10;
+/// Papers generated and served: the corpus and the papers its deltas
+/// append, one delta per round.
+pub const SERVED_PAPERS: usize = PAPERS + ROUNDS * DELTA_PAPERS;
 /// Top-k depth of every request.
 pub const K: u32 = 10;
 /// Tenants the requests are spread over.
@@ -38,8 +42,6 @@ pub enum Workload {
     HotZipf,
     /// Read-only, working set larger than the snapshot.
     ColdTail,
-    /// Reads beside a periodic delta writer.
-    IngestMix,
 }
 
 impl Workload {
@@ -47,7 +49,6 @@ impl Workload {
         match name {
             "hot_zipf" => Some(Workload::HotZipf),
             "cold_tail" => Some(Workload::ColdTail),
-            "ingest_mix" => Some(Workload::IngestMix),
             _ => None,
         }
     }
@@ -56,26 +57,6 @@ impl Workload {
         match self {
             Workload::HotZipf => "hot_zipf",
             Workload::ColdTail => "cold_tail",
-            Workload::IngestMix => "ingest_mix",
-        }
-    }
-
-    /// Papers generated, all of them in the server's database: the
-    /// corpus, plus for the read-only workloads the tail they ingest
-    /// before their reads.
-    pub fn generated_papers(self) -> usize {
-        match self {
-            Workload::IngestMix => PAPERS,
-            _ => PAPERS + TAIL_DELTAS * DELTA_PAPERS,
-        }
-    }
-
-    /// Papers the epoch-1 snapshot is warmed on; the rest arrive as
-    /// deltas. `ingest_mix` warms on the first 80 %.
-    pub fn warm_papers(self) -> usize {
-        match self {
-            Workload::IngestMix => PAPERS * 4 / 5,
-            _ => PAPERS,
         }
     }
 
@@ -84,15 +65,14 @@ impl Workload {
         match self {
             Workload::HotZipf => 500.0,
             Workload::ColdTail => 45.0,
-            Workload::IngestMix => 250.0,
         }
     }
 
     /// Requests in flight during the closed-loop capacity phase.
     pub fn window(self) -> usize {
         match self {
+            Workload::HotZipf => 32,
             Workload::ColdTail => 4,
-            _ => 32,
         }
     }
 }
@@ -419,6 +399,24 @@ pub struct Streams {
     pub closed: Vec<Req>,
 }
 
+impl Streams {
+    /// The open loop cut by due time into [`ROUNDS`] slices of equal
+    /// length, each re-timed from its own start.
+    pub fn open_rounds(&self) -> Vec<Vec<Req>> {
+        let span = self.open.last().map_or(0.0, |r| r.at);
+        let width = (span / ROUNDS as f64).max(f64::MIN_POSITIVE);
+        let mut rounds = vec![Vec::new(); ROUNDS];
+        for r in &self.open {
+            let i = ((r.at / width) as usize).min(ROUNDS - 1);
+            rounds[i].push(Req {
+                at: r.at - i as f64 * width,
+                ..*r
+            });
+        }
+        rounds
+    }
+}
+
 /// Requests the warm-up phase sends before any timing.
 pub const WARMUP: usize = 100;
 
@@ -452,7 +450,7 @@ pub fn streams(
     let closed_tenants = tenants(n_closed, &mut rng);
     let warm_tenants = tenants(WARMUP, &mut rng);
     match workload {
-        Workload::HotZipf | Workload::IngestMix => {
+        Workload::HotZipf => {
             let zipf = Zipf::new(hot.len(), HOT_SKEW);
             let mut draw = |n: usize, tenants: &[u64], times: Option<&[f64]>| -> Vec<Req> {
                 (0..n)
@@ -503,8 +501,9 @@ pub fn streams(
                     .collect()
             };
             let open = draw(n_open, &open_tenants, Some(&arrivals));
-            // Closed-loop capacity here is a few hundred per second.
-            let closed = draw(n_closed / 10, &closed_tenants, None);
+            // Closed-loop capacity here is a few hundred per second, so
+            // each round's slice of this stream is sent about once.
+            let closed = draw(n_closed / 5, &closed_tenants, None);
             let warmup = draw(WARMUP, &warm_tenants, None);
             Streams {
                 profiles,

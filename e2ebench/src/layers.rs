@@ -107,36 +107,26 @@ pub const LAYERS: &[Layer] = &[
         "topk_capacity_rps @ cold_tail",
     ),
     l("exec.pairwise_us", "us", "lower", "topk_p50_ms @ hot_zipf"),
-    l(
-        "exec.ingest_ms",
-        "ms",
-        "lower",
-        "ingest_p50_ms @ ingest_mix",
-    ),
+    l("exec.ingest_ms", "ms", "lower", "ingest_p50_ms @ all"),
     l(
         "exec.ingest_changed",
         "count",
         "lower",
-        "ingest_p50_ms @ ingest_mix",
+        "ingest_p50_ms @ all",
     ),
     l(
         "exec.ingest_new_tuples",
         "count",
         "lower",
-        "ingest_p50_ms @ ingest_mix",
+        "ingest_p50_ms @ all",
     ),
     l(
         "exec.rewarm_ms",
         "ms",
         "lower",
-        "base of exec.ingest_ms @ ingest_mix",
+        "base of exec.ingest_ms @ all",
     ),
-    l(
-        "exec.epochs_retired",
-        "count",
-        "lower",
-        "rss_peak_mb @ ingest_mix",
-    ),
+    l("exec.epochs_retired", "count", "lower", "rss_peak_mb @ all"),
     l("exec.warm_s", "s", "lower", "setup_s @ all"),
     l("exec.snapshot_save_s", "s", "lower", "setup_s @ all"),
     l("exec.snapshot_load_s", "s", "lower", "setup_s @ all"),
@@ -159,12 +149,7 @@ pub const LAYERS: &[Layer] = &[
         "lower",
         "topk_p50_ms @ cold_tail",
     ),
-    l(
-        "relstore.append_ms",
-        "ms",
-        "lower",
-        "ingest_p50_ms @ ingest_mix",
-    ),
+    l("relstore.append_ms", "ms", "lower", "ingest_p50_ms @ all"),
     l("relstore.load_s", "s", "lower", "setup_s @ all"),
     l("graph.load_s", "s", "lower", "setup_s @ all"),
     l("dblp.generate_s", "s", "lower", "setup_s @ all"),

@@ -2,16 +2,16 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path e2ebench/Cargo.toml -- \
-//!     --workload hot_zipf --seed 1 --seconds 15 --trace 0
+//!     --workload hot_zipf --seed 1 --seconds 24 --trace 0
 //! ```
 //!
 //! The driver starts the real `serve::Server` in a child process of its
 //! own (this binary, `serve` mode), three times, and takes the median
-//! set-up time. The last one ingests deltas (before the reads in the
-//! read-only workloads, beside them in `ingest_mix`) and gets seeded
-//! request streams from one thread over one connection: a warm-up, an
-//! open loop of Poisson arrivals timed from when each request was due,
-//! and a closed loop with a fixed window in flight. The driver then
+//! set-up time. The last one gets a warm-up and then rounds, each of
+//! which ingests one delta on the idle server and sends seeded request
+//! streams from one thread over one connection: a slice of an open loop
+//! of Poisson arrivals timed from when each request was due, then a
+//! slice of a closed loop with a fixed window in flight. It then
 //! reconciles the server's wire `Stats` counters with its own and
 //! checks every answer against a cold executor. `--trace 1` also
 //! repeats half the open loop with client spans and replays the stream
@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use hypre_core::prelude::ProfileCache;
 use hypre_core::serve::wire::StatsReply;
 
-use corpus::{Req, WireProfile, Workload, MIX_EVERY, TAIL_DELTAS};
+use corpus::{Req, WireProfile, Workload, ROUNDS};
 use net::{Client, Sample};
 use stats::{median, Dist, Tally};
 use trace::Tracer;
@@ -201,10 +201,8 @@ fn num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
 
 /// One delta as the server reported it.
 struct Ingest {
-    sched_ns: u64,
     append_ns: u64,
     ingest_ns: u64,
-    done_ns: u64,
     rows: u64,
     changed: u64,
     new_tuples: u64,
@@ -218,19 +216,17 @@ fn ingests(lines: &[String]) -> Result<Vec<Ingest>, String> {
         .filter(|l| l.starts_with("INGEST\t"))
         .map(|l| {
             let f = fields(l);
-            if f.len() != 9 {
+            if f.len() != 7 {
                 return Err(format!("bad ingest line {l:?}"));
             }
             Ok(Ingest {
-                sched_ns: num(f[0])?,
-                append_ns: num(f[1])?,
-                ingest_ns: num(f[2])?,
-                done_ns: num(f[3])?,
-                rows: num(f[4])?,
-                changed: num(f[5])?,
-                new_tuples: num(f[6])?,
-                ok: f[7] == "1",
-                retired: num(f[8])?,
+                append_ns: num(f[0])?,
+                ingest_ns: num(f[1])?,
+                rows: num(f[2])?,
+                changed: num(f[3])?,
+                new_tuples: num(f[4])?,
+                ok: f[5] == "1",
+                retired: num(f[6])?,
             })
         })
         .collect()
@@ -297,11 +293,9 @@ fn m(name: &'static str, value: f64, n: usize) -> Metric {
 }
 
 fn run(opts: &Opts) -> Result<i32, String> {
-    let w = opts.workload;
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // One I/O thread over one connection, plus the ingest writer thread.
-    let client_threads = 1 + usize::from(w == Workload::IngestMix);
-    let connections = 1;
+    // One I/O thread over one connection.
+    let (client_threads, connections) = (1, 1);
     if nproc > 1 {
         net::pin_to_cpu(0).map_err(|e| format!("pin client: {e}"))?;
     }
@@ -391,31 +385,45 @@ fn measure(
     // Lowest-priority spinners keep both CPUs from halting while the
     // phases are timed; they do no client work and yield to any thread.
     let awake = net::Awake::on(nproc).map_err(|e| format!("idle spinners: {e}"))?;
-    // The read-only workloads ingest their deltas first, on an idle
-    // server, and then read the grown corpus.
-    let tail_lines = if w == Workload::IngestMix {
-        Vec::new()
-    } else {
-        server.send(&format!("WRITER 0 {TAIL_DELTAS}"))?;
-        server.send("JOIN")?;
-        server.until("WRITER_DONE")?
-    };
     let mut client = Client::connect(addr, &streams.profiles).map_err(|e| e.to_string())?;
     client
         .drive(&streams.warmup, 4)
         .map_err(|e| format!("warm-up: {e}"))?;
-    let warmed = client
-        .server_stats()
-        .map_err(|e| format!("stats frame: {e}"))?;
-    if w == Workload::IngestMix {
-        server.send(&format!("WRITER {} 1000", MIX_EVERY.as_millis()))?;
+    // Each round: one delta on the idle server, then the round's slice of
+    // the open loop, then its slice of the closed loop.
+    let slice_secs = opts.seconds / 2.0 / ROUNDS as f64;
+    let open_rounds = streams.open_rounds();
+    let closed_rounds = streams.closed.chunks(streams.closed.len().div_ceil(ROUNDS));
+    let mut open: Vec<Sample> = Vec::new();
+    let mut open_phase = StatsReply::default();
+    let mut closed_phase = StatsReply::default();
+    let mut capacities: Vec<f64> = Vec::new();
+    let mut capacity_ok = 0u64;
+    let mut ingest_lines = Vec::new();
+    for (slice, closed) in open_rounds.iter().zip(closed_rounds) {
+        server.send("DELTA")?;
+        ingest_lines.extend(server.until("INGEST\t")?);
+        let a = stats_frame(&mut client)?;
+        open.extend(
+            client
+                .open_loop(slice, None)
+                .map_err(|e| format!("open loop: {e}"))?,
+        );
+        let b = stats_frame(&mut client)?;
+        let ok = client
+            .closed_loop(
+                closed,
+                w.window(),
+                Duration::from_secs_f64(slice_secs),
+                true,
+            )
+            .map_err(|e| format!("closed loop: {e}"))?;
+        let c = stats_frame(&mut client)?;
+        accumulate(&mut open_phase, &a, &b);
+        accumulate(&mut closed_phase, &b, &c);
+        capacities.push(ok as f64 / slice_secs);
+        capacity_ok += ok;
     }
-    let open = client
-        .open_loop(&streams.open, None)
-        .map_err(|e| format!("open loop: {e}"))?;
-    let opened = client
-        .server_stats()
-        .map_err(|e| format!("stats frame: {e}"))?;
     let mut tracer = Tracer::new();
     let traced_open = if opts.trace {
         let half: Vec<Req> = streams
@@ -432,53 +440,8 @@ fn measure(
     } else {
         None
     };
-
-    // ingest_mix stops its writer before the closed loop: capacity is
-    // then read capacity on the final epoch, not a function of how many
-    // deltas happen to overlap the phase.
-    let mut last_answers = net::Answers::default();
-    let writer_lines = if w == Workload::IngestMix {
-        server.send("STOPWRITER")?;
-        let lines = server.until("WRITER_DONE")?;
-        // One read per pool profile after the final delta.
-        let finals: Vec<Req> = (0..pool.len() as u32)
-            .map(|p| Req {
-                at: 0.0,
-                profile: p,
-                tenant: 0,
-            })
-            .collect();
-        let main_answers = std::mem::take(&mut client.answers);
-        client
-            .drive(&finals, 1)
-            .map_err(|e| format!("final reads: {e}"))?;
-        last_answers = std::mem::replace(&mut client.answers, main_answers);
-        lines
-    } else {
-        tail_lines
-    };
-
-    let capacity_secs = opts.seconds / 2.0;
-    let before_closed = client
-        .server_stats()
-        .map_err(|e| format!("stats frame: {e}"))?;
-    let capacity_ok = client
-        .closed_loop(
-            &streams.closed,
-            w.window(),
-            Duration::from_secs_f64(capacity_secs),
-            true,
-        )
-        .map_err(|e| format!("closed loop: {e}"))?;
-    let closed = client
-        .server_stats()
-        .map_err(|e| format!("stats frame: {e}"))?;
-    let open_phase = since(&warmed, &opened);
-    let closed_phase = since(&before_closed, &closed);
-    let ingested = ingests(&writer_lines)?;
-    let stats = client
-        .server_stats()
-        .map_err(|e| format!("stats frame: {e}"))?;
+    let ingested = ingests(&ingest_lines)?;
+    let stats = stats_frame(&mut client)?;
     let rewarm_ms = if opts.trace {
         server.send("REWARM")?;
         let lines = server.until("REWARM")?;
@@ -506,45 +469,25 @@ fn measure(
     let mut tally: Tally = client.tally;
     tally.attempted += ingested.len() as u64;
     tally.failed_ingests = ingested.iter().filter(|i| !i.ok).count() as u64;
-    let dataset = dblp_workload::generate(&corpus::generator(opts.seed, w.generated_papers()));
-    let warm_db = dblp_workload::load(&corpus::prefix(&dataset, w.warm_papers()))
-        .map_err(|e| e.to_string())?;
-    let deltas = corpus::deltas(&dataset, w.warm_papers());
-    let applied = ingested.iter().filter(|i| i.ok).count();
+    let dataset = dblp_workload::generate(&corpus::generator(opts.seed, corpus::SERVED_PAPERS));
+    let served_db = dblp_workload::load(&dataset).map_err(|e| e.to_string())?;
     let mut verdict = check::Verdict::default();
     let check_started = Instant::now();
-    if w == Workload::IngestMix {
-        check::epochs(
-            warm_db.clone(),
-            &deltas,
-            applied,
-            &streams.profiles,
-            &client.answers,
-            &last_answers,
-            &mut verdict,
-        )?;
-    } else {
-        // The reads came after every delta was published.
-        let mut db = warm_db.clone();
-        for delta in &deltas[..applied] {
-            corpus::append(&mut db, delta).map_err(|e| e.to_string())?;
-        }
-        // In cold_tail a fresh executor each re-derives a fixed sample of
-        // answers; the rest share one cold executor.
-        let sample: HashSet<u32> = streams
-            .open
-            .iter()
-            .take(FRESH_SAMPLE)
-            .map(|r| r.profile)
-            .collect();
-        check::fixed(
-            &db,
-            &streams.profiles,
-            &client.answers,
-            |p| w == Workload::HotZipf || sample.contains(&p),
-            &mut verdict,
-        )?;
-    }
+    // In cold_tail a fresh executor each re-derives a fixed sample of
+    // answers; the rest share one cold executor.
+    let sample: HashSet<u32> = streams
+        .open
+        .iter()
+        .take(FRESH_SAMPLE)
+        .map(|r| r.profile)
+        .collect();
+    check::fixed(
+        &served_db,
+        &streams.profiles,
+        &client.answers,
+        |p| w == Workload::HotZipf || sample.contains(&p),
+        &mut verdict,
+    )?;
     tally.wrong = verdict.wrong;
     let check_s = check_started.elapsed().as_secs_f64();
 
@@ -562,14 +505,17 @@ fn measure(
     let ingest_lat: Vec<f64> = ingested
         .iter()
         .filter(|i| i.ok)
-        .map(|i| (i.done_ns - i.sched_ns) as f64 / 1e6)
+        .map(|i| (i.append_ns + i.ingest_ns) as f64 / 1e6)
         .collect();
-    let capacity = capacity_ok as f64 / capacity_secs;
     let e2e = vec![
         m("setup_s", median(&setup_s), setup_s.len()),
         m("topk_p50_ms", lat.p50, lat.n),
         m("topk_p99_ms", p99, lat.n),
-        m("topk_capacity_rps", capacity, capacity_ok as usize),
+        m(
+            "topk_capacity_rps",
+            capacity_ok as f64 / (slice_secs * ROUNDS as f64),
+            capacity_ok as usize,
+        ),
         m("ingest_p50_ms", median(&ingest_lat), ingest_lat.len()),
         m("rss_peak_mb", rss_kb as f64 / 1024.0, 1),
     ];
@@ -635,21 +581,17 @@ fn measure(
         late.tail
     );
     println!(
-        "closed loop: window {}, {capacity_ok} answered in {capacity_secs:.2} s; server batches {} of {:.1} requests, {:.2} groups each",
+        "closed loop: window {}, {capacity_ok} answered in {ROUNDS} slices of {slice_secs:.2} s (req/s {:?}); server batches {} of {:.1} requests, {:.2} groups each",
         w.window(),
+        capacities.iter().map(|c| c.round()).collect::<Vec<_>>(),
         closed_phase.batches,
         share(closed_phase.total_requests, closed_phase.batches),
         share(closed_phase.groups, closed_phase.batches)
     );
     println!(
-        "ingest: {} deltas of {} papers ({}), mean {:.1} rows each; ingest ms {:?}",
+        "ingest: {} deltas of {} papers (one per round, on the idle server), mean {:.1} rows each; ingest ms {:?}",
         ingested.len(),
         corpus::DELTA_PAPERS,
-        if w == Workload::IngestMix {
-            format!("every {} ms beside the reads", MIX_EVERY.as_millis())
-        } else {
-            "back to back before the reads".into()
-        },
         stats::mean(&ingested.iter().map(|i| i.rows as f64).collect::<Vec<_>>()),
         ingested
             .iter()
@@ -717,11 +659,9 @@ fn measure(
 
     let mut reported = e2e;
     if let Some(traced_open) = traced_open {
-        // The replay serves the epoch-1 snapshot over the server's
-        // database, as the server did before any delta.
-        let served_db = dblp_workload::load(&dataset).map_err(|e| e.to_string())?;
+        // The replay serves the server's snapshot over its database.
         let cache = Arc::new(
-            ProfileCache::load_from(snapshot, &warm_db)
+            ProfileCache::load_from(snapshot, &served_db)
                 .map_err(|e| format!("replay snapshot: {e}"))?
                 .0,
         );
@@ -836,16 +776,21 @@ fn measure(
     })
 }
 
-/// Server counters accumulated between two `Stats` replies.
-fn since(a: &StatsReply, b: &StatsReply) -> StatsReply {
-    StatsReply {
-        total_requests: b.total_requests - a.total_requests,
-        batches: b.batches - a.batches,
-        groups: b.groups - a.groups,
-        shared: b.shared - a.shared,
-        overloads: b.overloads - a.overloads,
-        ..StatsReply::default()
-    }
+/// The server's counters, read through the wire `Stats` frame.
+fn stats_frame(client: &mut Client) -> Result<StatsReply, String> {
+    client
+        .server_stats()
+        .map_err(|e| format!("stats frame: {e}"))
+}
+
+/// Adds to `total` the server counters accumulated between two `Stats`
+/// replies.
+fn accumulate(total: &mut StatsReply, a: &StatsReply, b: &StatsReply) {
+    total.total_requests += b.total_requests - a.total_requests;
+    total.batches += b.batches - a.batches;
+    total.groups += b.groups - a.groups;
+    total.shared += b.shared - a.shared;
+    total.overloads += b.overloads - a.overloads;
 }
 
 fn json_num(v: f64) -> String {
