@@ -547,9 +547,9 @@ fn main() {
         });
 
         // PR 6: live ingest — warm once on a 95 % base corpus, then
-        // append the remaining 5 % as an append-only delta. The
-        // incremental path re-scores only the predicates the delta
-        // touches; the alternative is a cold full re-warm.
+        // append the remaining 5 % as an append-only delta. Ingest
+        // re-runs every predicate through an interner layered over the
+        // snapshot's; the alternative is a cold full re-warm.
         let split = hypre_bench::ingest::split_corpus(&fx.dataset, 0.95);
         let predicates: Vec<&relstore::Predicate> = atoms.iter().map(|a| &a.predicate).collect();
         let base_cache = ProfileCache::warm(&split.base, BaseQuery::dblp(), predicates.clone())

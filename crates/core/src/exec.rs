@@ -104,11 +104,11 @@
 //!    growth of the underlying tables: cached predicates answer exactly
 //!    as warmed while the corpus grows underneath.
 //! 3. **Ingest** — [`EpochCache::ingest`] absorbs an append-only delta
-//!    off to the side ([`ProfileCache::ingest_delta`]: delta rows →
-//!    candidate driver rows → per-predicate incremental re-evaluation →
-//!    copy-on-write container growth) and *publishes* the result as a
-//!    new epoch. Nothing blocks: old-epoch sessions keep answering
-//!    throughout.
+//!    off to the side ([`ProfileCache::ingest_delta`]: every snapshot
+//!    predicate re-runs on the warm path over the grown corpus, new
+//!    values intern above the frozen ids, unchanged sets keep their
+//!    `Arc`) and *publishes* the result as a new epoch. Nothing blocks:
+//!    old-epoch sessions keep answering throughout.
 //! 4. **Drain** — at its next `top_k` boundary a session calls
 //!    [`EpochSession::drain`], atomically re-pinning to the newest
 //!    epoch. [`PairwiseCache::refresh_for`] then re-scores only the
@@ -133,7 +133,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use relstore::{ColRef, Database, Predicate, RowId, SelectQuery, Value};
+use relstore::{ColRef, Database, Predicate, SelectQuery, Value};
 
 use crate::combine::{f_and, PrefAtom};
 use crate::error::{HypreError, Result};
@@ -294,21 +294,23 @@ impl TupleInterner {
         Ok(id)
     }
 
-    /// A flat, self-contained copy (base and overlay merged) — what a
-    /// [`ProfileCache`] freezes.
-    fn flattened(&self) -> TupleInterner {
+    /// The interner a [`ProfileCache`] freezes: the base `Arc` itself
+    /// when the overlay is empty, a flat, self-contained copy (base and
+    /// overlay merged) otherwise.
+    fn frozen(&self) -> Arc<TupleInterner> {
         match &self.base {
-            None => self.clone(),
+            None => Arc::new(self.clone()),
+            Some(base) if self.values.is_empty() => Arc::clone(base),
             Some(base) => {
                 let mut ids = base.ids.clone();
                 ids.extend(self.ids.iter().map(|(v, &id)| (v.clone(), id)));
                 let mut values = base.values.clone();
                 values.extend(self.values.iter().cloned());
-                TupleInterner {
+                Arc::new(TupleInterner {
                     base: None,
                     ids,
                     values,
-                }
+                })
             }
         }
     }
@@ -382,12 +384,21 @@ pub struct Executor<'db> {
 impl<'db> Executor<'db> {
     /// Creates an executor over a database and base query.
     pub fn new(db: &'db Database, base: BaseQuery) -> Self {
+        Executor::from_parts(db, base, TupleInterner::default(), None)
+    }
+
+    fn from_parts(
+        db: &'db Database,
+        base: BaseQuery,
+        interner: TupleInterner,
+        shared: Option<Arc<ProfileCache>>,
+    ) -> Self {
         Executor {
             db,
             base,
-            interner: RefCell::new(TupleInterner::default()),
+            interner: RefCell::new(interner),
             atom_cache: RefCell::new(HashMap::new()),
-            shared: None,
+            shared,
             parallelism: Cell::new(Parallelism::Sequential),
             queries_run: Cell::new(0),
             cache_hits: Cell::new(0),
@@ -436,38 +447,14 @@ impl<'db> Executor<'db> {
         cache: Arc<ProfileCache>,
         allow_growth: bool,
     ) -> Result<Self> {
-        let current = corpus_fingerprint(db, &cache.base);
-        for ((table, warmed), (_, now)) in cache.fingerprint.iter().zip(&current) {
-            let ok = match (warmed, now) {
-                (None, None) => true,
-                (Some(w), Some(c)) => {
-                    if allow_growth {
-                        c >= w
-                    } else {
-                        c == w
-                    }
-                }
-                _ => false,
-            };
-            if !ok {
-                return Err(HypreError::StaleSnapshot {
-                    table: table.clone(),
-                    warmed: *warmed,
-                    current: *now,
-                });
-            }
-        }
-        Ok(Executor {
+        cache.check_corpus(db, allow_growth)?;
+        let interner = TupleInterner::layered(Arc::clone(&cache.interner));
+        Ok(Executor::from_parts(
             db,
-            base: cache.base.clone(),
-            interner: RefCell::new(TupleInterner::layered(Arc::clone(&cache.interner))),
-            atom_cache: RefCell::new(HashMap::new()),
-            shared: Some(cache),
-            parallelism: Cell::new(Parallelism::Sequential),
-            queries_run: Cell::new(0),
-            cache_hits: Cell::new(0),
-            shared_hits: Cell::new(0),
-        })
+            cache.base.clone(),
+            interner,
+            Some(cache),
+        ))
     }
 
     /// Sets the parallelism knob (builder form).
@@ -761,8 +748,8 @@ pub struct ProfileCache {
     interner: Arc<TupleInterner>,
     sets: HashMap<String, SharedTupleSet>,
     /// The predicate AST behind every materialised set (same keys as
-    /// `sets`) — what delta ingest re-evaluates over changed rows
-    /// without re-parsing canonical text.
+    /// `sets`) — what delta ingest re-runs without re-parsing canonical
+    /// text.
     preds: HashMap<String, Predicate>,
     /// Row counts of the base query's tables at snapshot time — the
     /// cheap corpus identity [`Executor::with_cache`] checks so a
@@ -786,12 +773,7 @@ impl ProfileCache {
     /// local memo) *and* the snapshot it reads through into one flat
     /// base, so caches compose incrementally.
     pub fn snapshot(exec: &Executor<'_>) -> Self {
-        let interner = exec.interner.borrow();
-        // Re-use the frozen base Arc when the session added nothing.
-        let interner = match &interner.base {
-            Some(base) if interner.values.is_empty() => Arc::clone(base),
-            _ => Arc::new(interner.flattened()),
-        };
+        let interner = exec.interner.borrow().frozen();
         let (mut sets, mut preds) = exec
             .shared
             .as_ref()
@@ -895,139 +877,41 @@ impl ProfileCache {
         }
     }
 
-    /// Absorbs an *append-only* corpus delta into a new snapshot without
-    /// re-deriving any predicate from SQL scratch: for every base-query
-    /// table that grew since warm time, the delta rows are mapped to the
-    /// driver rows they could affect (new driver rows directly; new
-    /// joined rows through their join key against the warmed driver
-    /// prefix), each predicate is re-evaluated over just those candidate
-    /// rows ([`relstore::SelectQuery::distinct_row_set_among`]), fresh
-    /// matches intern *above* the frozen id space, and the matching run /
-    /// array / bitmap containers grow copy-on-write — untouched sets are
-    /// shared structurally with the old snapshot. Because the tables are
-    /// append-only, predicate matches are monotone (a driver row can only
-    /// *gain* witnesses), so insert-only maintenance is exact.
+    /// Absorbs an *append-only* corpus delta into a new snapshot: every
+    /// snapshot predicate re-runs on the warm path over `db`, in
+    /// canonical-key order, through an interner layered over the frozen
+    /// one — values the snapshot already holds keep their ids, and new
+    /// values intern above them in a deterministic order. A set whose
+    /// contents did not change keeps its old `Arc`, so untouched sets are
+    /// shared structurally with the old snapshot; the rest are reported
+    /// in [`DeltaReport::changed`].
     ///
     /// `self` is never mutated: on any error the old snapshot remains
     /// fully intact and serving — the atomicity contract the epoch layer
     /// builds on. If no table grew, the snapshot is returned unchanged
     /// (a cheap no-op) with an empty report.
     ///
-    /// Base queries whose key column lives off the driving table (or
-    /// with joins not anchored on the driver) fall back to a full
-    /// re-warm against `db` — still atomic, just not incremental.
-    ///
     /// # Errors
     /// [`HypreError::StaleSnapshot`] when the corpus changed in a way
     /// appends cannot produce (a table shrank, appeared or disappeared);
     /// any error from the underlying queries (e.g. injected faults).
     pub fn ingest_delta(&self, db: &Database) -> Result<(ProfileCache, DeltaReport)> {
-        let current = corpus_fingerprint(db, &self.base);
-        let mut appended: Vec<(String, usize)> = Vec::new();
-        let mut spans: HashMap<&str, (usize, usize)> = HashMap::new();
-        for ((table, warmed), (_, now)) in self.fingerprint.iter().zip(&current) {
-            match (warmed, now) {
-                (None, None) => {}
-                (Some(w), Some(c)) if c >= w => {
-                    if c > w {
-                        appended.push((table.clone(), c - w));
-                    }
-                    spans.insert(table.as_str(), (*w, *c));
-                }
-                _ => {
-                    return Err(HypreError::StaleSnapshot {
-                        table: table.clone(),
-                        warmed: *warmed,
-                        current: *now,
-                    });
-                }
-            }
-        }
+        let current = self.check_corpus(db, true)?;
+        let appended: Vec<(String, usize)> = self
+            .fingerprint
+            .iter()
+            .zip(&current)
+            .filter_map(|((table, warmed), (_, now))| {
+                let grown = now.zip(*warmed).map_or(0, |(c, w)| c - w);
+                (grown > 0).then(|| (table.clone(), grown))
+            })
+            .collect();
         if appended.is_empty() {
             return Ok((self.clone(), DeltaReport::default()));
         }
 
-        // Incremental maintenance needs the interner's zero-clone feed:
-        // key on the driver, every join anchored on a driver column.
-        let driver_anchored = self.base.key_on_driver()
-            && self
-                .base
-                .joins
-                .iter()
-                .all(|(_, left, _)| left.table.as_deref() == Some(self.base.table.as_str()));
-        let driver = db.table(&self.base.table)?;
-        let key_idx = driver.schema().index_of(&self.base.key.column);
-        let (Some(key_idx), true) = (key_idx, driver_anchored) else {
-            let cache = ProfileCache::warm(db, self.base.clone(), self.predicates())?;
-            let mut changed: Vec<String> = self.preds.keys().cloned().collect();
-            changed.sort();
-            let new_tuples = cache.tuple_universe().saturating_sub(self.tuple_universe());
-            return Ok((
-                cache,
-                DeltaReport {
-                    appended,
-                    changed,
-                    new_tuples,
-                },
-            ));
-        };
-
-        let (driver_old, driver_now) = spans
-            .get(self.base.table.as_str())
-            .copied()
-            .unwrap_or((driver.len(), driver.len()));
-
-        // Per joined table that grew: the *old* driver rows reachable
-        // from its delta rows through the join key. One probe map per
-        // driver join column, built once and shared across predicates.
-        let mut probe_maps: HashMap<&str, HashMap<Value, Vec<RowId>>> = HashMap::new();
-        let mut joined_candidates: HashMap<&str, Vec<RowId>> = HashMap::new();
-        for (table, left, right) in &self.base.joins {
-            let Some(&(old, now)) = spans.get(table.as_str()) else {
-                continue;
-            };
-            if now == old {
-                continue;
-            }
-            if !probe_maps.contains_key(left.column.as_str()) {
-                let left_idx = driver
-                    .schema()
-                    .require(Some(&self.base.table), &left.column)?;
-                let mut map: HashMap<Value, Vec<RowId>> = HashMap::new();
-                for rid in 0..driver.len() {
-                    if let Some(v) = driver.value_at(rid, left_idx) {
-                        if !v.is_null() {
-                            map.entry(v).or_default().push(RowId(rid));
-                        }
-                    }
-                }
-                probe_maps.insert(left.column.as_str(), map);
-            }
-            let jt = db.table(table)?;
-            let right_idx = jt.schema().require(Some(table), &right.column)?;
-            let Some(probe) = probe_maps.get(left.column.as_str()) else {
-                unreachable!("probe map built above");
-            };
-            let cands = joined_candidates.entry(table.as_str()).or_default();
-            for idx in old..now {
-                let Some(key) = jt.value_at(idx, right_idx) else {
-                    continue;
-                };
-                if key.is_null() {
-                    continue;
-                }
-                if let Some(hits) = probe.get(&key) {
-                    cands.extend_from_slice(hits);
-                }
-            }
-        }
-        let new_driver: Vec<RowId> = (driver_old..driver_now).map(RowId).collect();
-
-        // Re-evaluate each predicate over only its candidate rows,
-        // growing the matching containers copy-on-write. Keys iterate in
-        // sorted order so id assignment is deterministic.
-        let mut interner = (*self.interner).clone();
-        let before_universe = interner.len();
+        let interner = TupleInterner::layered(Arc::clone(&self.interner));
+        let exec = Executor::from_parts(db, self.base.clone(), interner, None);
         let mut sets: HashMap<String, SharedTupleSet> = HashMap::with_capacity(self.sets.len());
         let mut changed: Vec<String> = Vec::new();
         let mut keys: Vec<&String> = self.preds.keys().collect();
@@ -1036,50 +920,21 @@ impl ProfileCache {
             let (Some(pred), Some(old_set)) = (self.preds.get(key), self.sets.get(key)) else {
                 unreachable!("preds and sets share keys");
             };
-            let mut cands: Vec<RowId> = new_driver.clone();
-            let referenced = pred.tables();
-            for (table, _, _) in &self.base.joins {
-                if referenced.contains(table) {
-                    if let Some(c) = joined_candidates.get(table.as_str()) {
-                        cands.extend_from_slice(c);
-                    }
-                }
-            }
-            cands.sort_unstable();
-            cands.dedup();
-            if cands.is_empty() {
-                sets.insert(key.clone(), Arc::clone(old_set));
-                continue;
-            }
-            let q = self.base.select_for(pred);
-            let mut fresh: Vec<u32> = Vec::new();
-            for rid in q.distinct_row_set_among(db, &cands)? {
-                let Some(row) = driver.row(rid) else {
-                    unreachable!("candidate rows exist");
-                };
-                let v = &row[key_idx];
-                if v.is_null() {
-                    continue;
-                }
-                let id = interner.intern(v)?;
-                if !old_set.contains(id) {
-                    fresh.push(id);
-                }
-            }
-            if fresh.is_empty() {
-                sets.insert(key.clone(), Arc::clone(old_set));
+            let set = exec.run_and_intern(pred)?;
+            let set = if set == **old_set {
+                Arc::clone(old_set)
             } else {
-                let mut grown = (**old_set).clone();
-                grown.insert_all(fresh);
                 changed.push(key.clone());
-                sets.insert(key.clone(), Arc::new(grown));
-            }
+                Arc::new(set)
+            };
+            sets.insert(key.clone(), set);
         }
-        let new_tuples = interner.len() - before_universe;
+        let interner = exec.interner.borrow().frozen();
+        let new_tuples = interner.len() - self.interner.len();
         Ok((
             ProfileCache {
                 base: self.base.clone(),
-                interner: Arc::new(interner),
+                interner,
                 sets,
                 preds: self.preds.clone(),
                 fingerprint: current,
@@ -1090,6 +945,34 @@ impl ProfileCache {
                 new_tuples,
             },
         ))
+    }
+
+    /// The base-query tables' row counts in `db`, checked against the
+    /// counts at snapshot time: equal, or no shorter with `allow_growth`.
+    ///
+    /// # Errors
+    /// [`HypreError::StaleSnapshot`] naming the first table that fails.
+    fn check_corpus(
+        &self,
+        db: &Database,
+        allow_growth: bool,
+    ) -> Result<Vec<(String, Option<usize>)>> {
+        let current = corpus_fingerprint(db, &self.base);
+        for ((table, warmed), (_, now)) in self.fingerprint.iter().zip(&current) {
+            let ok = match (warmed, now) {
+                (None, None) => true,
+                (Some(w), Some(c)) => c == w || (allow_growth && c > w),
+                _ => false,
+            };
+            if !ok {
+                return Err(HypreError::StaleSnapshot {
+                    table: table.clone(),
+                    warmed: *warmed,
+                    current: *now,
+                });
+            }
+        }
+        Ok(current)
     }
 }
 
@@ -2152,45 +2035,72 @@ mod tests {
         assert_eq!(same.tuple_universe(), cache.tuple_universe());
     }
 
-    #[test]
-    fn ingest_delta_appends_matches_and_shares_untouched_sets() {
-        let base_db = db();
-        let vldb = p("dblp.venue='VLDB'");
-        let pods = p("dblp.venue='PODS'");
-        let coauth = p("dblp_author.aid=11");
-        let cache =
-            ProfileCache::warm(&base_db, BaseQuery::dblp(), [&vldb, &pods, &coauth]).unwrap();
-
-        // Append one VLDB paper and link existing paper 1 to author 11.
-        let mut grown = base_db.clone();
+    /// Appends paper 5 (VLDB, by new author 13) and links existing paper
+    /// 1 to author 11 and existing paper 3 to author 13.
+    fn grown_db() -> Database {
+        let mut grown = db();
         grown
             .table_mut("dblp")
             .unwrap()
             .insert(vec![5.into(), "VLDB".into(), 2015.into()])
             .unwrap();
-        for (pid, aid) in [(5, 13), (1, 11)] {
+        for (pid, aid) in [(5, 13), (1, 11), (3, 13)] {
             grown
                 .table_mut("dblp_author")
                 .unwrap()
                 .insert(vec![pid.into(), aid.into()])
                 .unwrap();
         }
+        grown
+    }
+
+    /// Every value `old` interned keeps its id in `new`, and every id
+    /// from `old.tuple_universe()` up names a value `old` never held.
+    fn assert_ids_extend(old: &ProfileCache, new: &ProfileCache) {
+        for id in 0..old.tuple_universe() as u32 {
+            let v = old.interner.value(id);
+            assert_eq!(new.interner.id(v), Some(id), "{v:?} kept its id");
+        }
+        for id in old.tuple_universe() as u32..new.tuple_universe() as u32 {
+            let v = new.interner.value(id);
+            assert_eq!(old.interner.id(v), None, "{v:?} is new");
+        }
+    }
+
+    #[test]
+    fn ingest_delta_appends_matches_and_shares_untouched_sets() {
+        let base_db = db();
+        let vldb = p("dblp.venue='VLDB'");
+        let pods = p("dblp.venue='PODS'");
+        let coauth = p("dblp_author.aid=11");
+        // Existential per joined row: a paper with any author other than
+        // 11. Appends can only add witnesses, so it stays monotone.
+        let not_coauth = p("NOT dblp_author.aid=11");
+        let preds = [&vldb, &pods, &coauth, &not_coauth];
+        let cache = ProfileCache::warm(&base_db, BaseQuery::dblp(), preds).unwrap();
+
+        let grown = grown_db();
         let (next, report) = cache.ingest_delta(&grown).unwrap();
         assert!(!report.is_noop());
+        let mut want_changed = vec![vldb.canonical(), coauth.canonical(), not_coauth.canonical()];
+        want_changed.sort();
         assert_eq!(
-            report.changed,
-            vec![vldb.canonical(), coauth.canonical()],
-            "VLDB gains paper 5, aid=11 gains paper 1; PODS untouched"
+            report.changed, want_changed,
+            "VLDB gains paper 5, aid=11 gains paper 1, NOT aid=11 gains \
+             papers 3 and 5; PODS untouched"
         );
         // Untouched set is shared structurally, not copied.
         assert!(Arc::ptr_eq(
             &cache.get(&pods.canonical()).unwrap(),
             &next.get(&pods.canonical()).unwrap()
         ));
+        assert_ids_extend(&cache, &next);
+        assert_eq!(report.new_tuples, 1, "paper 5");
+        assert_eq!(next.tuple_universe(), cache.tuple_universe() + 1);
         // The grown sets agree with a cold executor over the grown db.
         let fresh = Executor::new(&grown, BaseQuery::dblp());
         let session = Executor::with_cache(&grown, Arc::new(next)).unwrap();
-        for pred in [&vldb, &pods, &coauth] {
+        for pred in preds {
             assert_eq!(
                 session.tuples(pred).unwrap(),
                 fresh.tuples(pred).unwrap(),
@@ -2199,6 +2109,47 @@ mod tests {
             );
         }
         assert_eq!(session.queries_run(), 0, "ingest left nothing to re-run");
+    }
+
+    #[test]
+    fn ingest_delta_with_the_key_on_a_joined_table_matches_a_fresh_executor() {
+        // The tuple identity is the author, which lives off the driver.
+        let base = BaseQuery::single("dblp", ColRef::parse("dblp_author.aid")).join(
+            "dblp_author",
+            ColRef::parse("dblp.pid"),
+            ColRef::parse("dblp_author.pid"),
+        );
+        let base_db = db();
+        let vldb = p("dblp.venue='VLDB' AND dblp_author.aid>0");
+        let pods = p("dblp.venue='PODS' AND dblp_author.aid>0");
+        let late = p("dblp_author.pid>=3");
+        let preds = [&vldb, &pods, &late];
+        let cache = ProfileCache::warm(&base_db, base.clone(), preds).unwrap();
+
+        let grown = grown_db();
+        let (next, report) = cache.ingest_delta(&grown).unwrap();
+        assert_eq!(
+            report.changed,
+            vec![vldb.canonical(), late.canonical()],
+            "author 13 joins both; PODS keeps author 12 only"
+        );
+        assert!(Arc::ptr_eq(
+            &cache.get(&pods.canonical()).unwrap(),
+            &next.get(&pods.canonical()).unwrap()
+        ));
+        assert_ids_extend(&cache, &next);
+        assert_eq!(report.new_tuples, 1, "author 13");
+        let fresh = Executor::new(&grown, base);
+        let session = Executor::with_cache(&grown, Arc::new(next)).unwrap();
+        for pred in preds {
+            assert_eq!(
+                session.tuples(pred).unwrap(),
+                fresh.tuples(pred).unwrap(),
+                "{}",
+                pred.canonical()
+            );
+        }
+        assert_eq!(session.queries_run(), 0);
     }
 
     #[test]

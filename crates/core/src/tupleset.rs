@@ -355,32 +355,6 @@ impl TupleSet {
         fresh
     }
 
-    /// Appends a batch of ids, returning how many were newly added — the
-    /// delta-ingest append path. Canonicalisation runs once at the end
-    /// rather than per insert, so a large delta pays one container
-    /// decision instead of thousands.
-    pub fn insert_all<I: IntoIterator<Item = u32>>(&mut self, ids: I) -> usize {
-        let mut fresh = 0usize;
-        for id in ids {
-            let added = match &mut self.repr {
-                Repr::Array(v) => match v.binary_search(&id) {
-                    Ok(_) => false,
-                    Err(pos) => {
-                        v.insert(pos, id);
-                        true
-                    }
-                },
-                Repr::Runs(r) => runs_insert(r, id),
-                Repr::Bitmap(b) => b.insert(id),
-            };
-            fresh += usize::from(added);
-        }
-        if fresh > 0 {
-            self.canonicalize();
-        }
-        fresh
-    }
-
     /// Removes an id; returns whether it was present. Converts container
     /// when the shrunk contents pick a different one (removing a far
     /// outlier can collapse an array's span onto a tiny bitmap; removing
@@ -1413,33 +1387,6 @@ mod tests {
                 assert!(dense.contains(id));
             }
             assert_canonical(&dense);
-        }
-    }
-
-    #[test]
-    fn insert_all_matches_repeated_inserts() {
-        // Batch append across all three containers: fresh ids count,
-        // duplicates don't, and the deferred canonicalize lands on the
-        // same container (and contents) as insert-at-a-time.
-        for start in [set(&[]), strided(0, 8, WIDE), (0..256).collect(), {
-            let dense: TupleSet = (0..9000).step_by(2).collect();
-            assert!(dense.is_bitmap());
-            dense
-        }] {
-            let delta: Vec<u32> = vec![1, 3, 3, 500, 501, 502, 9001, 1];
-            let mut batched = start.clone();
-            let mut one_by_one = start.clone();
-            let fresh = batched.insert_all(delta.iter().copied());
-            let mut expect = 0usize;
-            for &id in &delta {
-                expect += usize::from(one_by_one.insert(id));
-            }
-            assert_eq!(fresh, expect, "fresh count diverged");
-            assert_eq!(batched, one_by_one, "contents diverged");
-            assert_canonical(&batched);
-            // A no-op batch reports zero and changes nothing.
-            assert_eq!(batched.insert_all(delta.iter().copied()), 0);
-            assert_eq!(batched, one_by_one);
         }
     }
 

@@ -17,15 +17,16 @@
 //! ## Columnar fast path
 //!
 //! [`SelectQuery::distinct_row_set`] — the call feeding the tuple interner
-//! in `hypre-core` — compiles the filter into a crate-internal `FastPred` over the
-//! table's columnar segments when the query has one of three shapes: a
-//! single-table select, a single equi-join with a driver-only filter
-//! (semi-join membership test), or a single equi-join filtered on the
-//! joined side (filtered key-set membership). A compiled atom reads the
-//! typed segment directly — `i64`/`f64` comparisons delegate to
-//! [`Value::compare`] on stack-built values, and string atoms are
-//! evaluated **once per dictionary code** into a truth table, so a scan
-//! over a million rows compares a million `u32`s, not a million strings.
+//! in `hypre-core` on warm-up and delta ingest alike — compiles the filter
+//! into a crate-internal `FastPred` over the table's columnar segments
+//! when the query has one of three shapes: a single-table select, a
+//! single equi-join with a driver-only filter (semi-join membership
+//! test), or a single equi-join filtered on the joined side (filtered
+//! key-set membership). A compiled atom reads the typed segment directly
+//! — `i64`/`f64` comparisons delegate to [`Value::compare`] on
+//! stack-built values, and string atoms are evaluated **once per
+//! dictionary code** into a truth table, so a scan over a million rows
+//! compares a million `u32`s, not a million strings.
 //! Any shape or predicate the compiler does not cover falls back to the
 //! row-materialising pipeline below, which remains the semantic reference
 //! ([`SelectQuery::distinct_row_set_rowwise`] pins it for benches).
@@ -105,7 +106,7 @@ impl SelectQuery {
     pub fn run(&self, db: &Database) -> Result<ResultSet> {
         let bound = self.bind(db)?;
         let mut out = ResultSet::new(&bound);
-        self.execute(db, &bound, None, |_, joined| {
+        self.execute(db, &bound, |_, joined| {
             out.rows.push(joined.concat_values());
             Ok(true)
         })?;
@@ -116,7 +117,7 @@ impl SelectQuery {
     pub fn count(&self, db: &Database) -> Result<u64> {
         let bound = self.bind(db)?;
         let mut n = 0u64;
-        self.execute(db, &bound, None, |_, _| {
+        self.execute(db, &bound, |_, _| {
             n += 1;
             Ok(true)
         })?;
@@ -130,7 +131,7 @@ impl SelectQuery {
         let bound = self.bind(db)?;
         let target = bound.locate(col)?;
         let mut seen: HashSet<Value> = HashSet::new();
-        self.execute(db, &bound, None, |_, joined| {
+        self.execute(db, &bound, |_, joined| {
             let v = joined.value_at(target);
             if !v.is_null() && !seen.contains(v) {
                 seen.insert(v.clone());
@@ -148,7 +149,7 @@ impl SelectQuery {
         let target = bound.locate(col)?;
         let mut seen: HashSet<Value> = HashSet::new();
         let mut out = Vec::new();
-        self.execute(db, &bound, None, |_, joined| {
+        self.execute(db, &bound, |_, joined| {
             let v = joined.value_at(target);
             if !v.is_null() && !seen.contains(v) {
                 seen.insert(v.clone());
@@ -162,7 +163,8 @@ impl SelectQuery {
     /// The distinct *driving-table* rows with at least one joined row
     /// passing the filter, in scan (ascending `RowId`) order.
     ///
-    /// This is the fast path feeding the tuple interner in `hypre-core`.
+    /// This is the fast path feeding the tuple interner in `hypre-core`,
+    /// on warm-up and delta ingest alike.
     /// Supported query shapes compile into a columnar plan (see the module
     /// docs) that scans typed segments without materialising a single row;
     /// everything else runs the reference join pipeline, where
@@ -170,7 +172,16 @@ impl SelectQuery {
     /// short-circuits the moment a driving row produces its first passing
     /// joined row.
     pub fn distinct_row_set(&self, db: &Database) -> Result<Vec<RowId>> {
-        self.row_set_impl(db, None, true)
+        let bound = self.bind(db)?;
+        // Compilability is decided before the fault check so that both
+        // outcomes charge exactly one operation against an armed fault
+        // schedule (compile failures fall through to `execute`, which
+        // performs the check itself).
+        if let Some(plan) = FastPlan::compile(self, &bound) {
+            db.fault_check()?;
+            return Ok(plan.run(self, &bound));
+        }
+        self.distinct_row_set_rowwise(db)
     }
 
     /// The reference row-materialising implementation of
@@ -179,44 +190,10 @@ impl SelectQuery {
     /// evaluated through the generic resolver. Kept public so benches can
     /// measure the columnar plan against it.
     pub fn distinct_row_set_rowwise(&self, db: &Database) -> Result<Vec<RowId>> {
-        self.row_set_impl(db, None, false)
-    }
-
-    /// Like [`SelectQuery::distinct_row_set`], but only the listed
-    /// driving-table rows are considered as candidates — the filter and
-    /// join pipeline run unchanged over them. This is the delta-ingest
-    /// seam: after an append, the executor re-evaluates a predicate over
-    /// just the rows a delta could have affected instead of the whole
-    /// table. Out-of-range and duplicate candidates are ignored; the
-    /// result is in ascending `RowId` order.
-    pub fn distinct_row_set_among(
-        &self,
-        db: &Database,
-        candidates: &[RowId],
-    ) -> Result<Vec<RowId>> {
-        self.row_set_impl(db, Some(candidates), false)
-    }
-
-    fn row_set_impl(
-        &self,
-        db: &Database,
-        seed: Option<&[RowId]>,
-        allow_fast: bool,
-    ) -> Result<Vec<RowId>> {
         let bound = self.bind(db)?;
-        if seed.is_none() && allow_fast {
-            // Compilability is decided before the fault check so that both
-            // outcomes charge exactly one operation against an armed fault
-            // schedule (compile failures fall through to `execute`, which
-            // performs the check itself).
-            if let Some(plan) = FastPlan::compile(self, &bound) {
-                db.fault_check()?;
-                return Ok(plan.run(self, &bound));
-            }
-        }
         let mut seen = vec![false; bound.tables[0].len()];
         let mut out = Vec::new();
-        self.execute(db, &bound, seed, |rid, _| {
+        self.execute(db, &bound, |rid, _| {
             if !seen[rid.0] {
                 seen[rid.0] = true;
                 out.push(rid);
@@ -262,16 +239,12 @@ impl SelectQuery {
     /// returns whether to keep expanding the *current* driving row's join
     /// matches (`false` short-circuits to the next driving row — the
     /// existence-only fast path of [`SelectQuery::distinct_row_set`]).
-    ///
-    /// `seed_override` restricts the driving-table candidates to an
-    /// explicit row-id list (the delta-ingest path); `None` uses the
-    /// index-or-scan access path. Counts one operation against any armed
-    /// fault schedule before touching data.
+    /// Counts one operation against any armed fault schedule before
+    /// touching data.
     fn execute<'db>(
         &self,
         db: &Database,
         bound: &BoundQuery<'db>,
-        seed_override: Option<&[RowId]>,
         mut sink: impl FnMut(RowId, &JoinedRow<'_, 'db>) -> Result<bool>,
     ) -> Result<()> {
         db.fault_check()?;
@@ -283,12 +256,9 @@ impl SelectQuery {
 
         // Seed: candidate rows of the driving table, via index if possible.
         let driver = bound.tables[0];
-        let seed: Vec<RowId> = match seed_override {
-            Some(ids) => ids.to_vec(),
-            None => match self.index_seed(driver, &bound.names[0]) {
-                Some(ids) => ids,
-                None => (0..driver.len()).map(RowId).collect(),
-            },
+        let seed: Vec<RowId> = match self.index_seed(driver, &bound.names[0]) {
+            Some(ids) => ids,
+            None => (0..driver.len()).map(RowId).collect(),
         };
 
         // Build hash tables for each joined table keyed on its join column.
@@ -329,8 +299,7 @@ impl SelectQuery {
             });
         }
 
-        // Depth-first pipeline over the join chain. Out-of-range ids (only
-        // possible via a stale `seed_override`) are skipped, not a panic.
+        // Depth-first pipeline over the join chain.
         let mut rows: Vec<Vec<Value>> = Vec::with_capacity(bound.tables.len());
         for id in seed {
             let Some(row) = driver.row(id) else { continue };

@@ -2,8 +2,8 @@
 //! a growing DBLP corpus. A `ProfileCache` is warmed once on the base
 //! corpus and published as epoch 1; user sessions pin the epoch they
 //! opened on and serve lock-free; a batch of new papers is ingested as
-//! an append-only delta (`ingest_delta` re-scores only the predicates
-//! the delta touches — no SQL re-derivation of untouched sets) and
+//! an append-only delta (`ingest_delta` re-runs every snapshot predicate
+//! on the warm path; sets the delta left unchanged keep their `Arc`) and
 //! published as epoch 2; pinned sessions drain at their next query
 //! boundary; and a fault-injection pass shows a failed ingest leaves
 //! the previous epoch intact and serving.
@@ -95,13 +95,13 @@ fn main() -> Result<()> {
     );
 
     // 6. The same ingest with a one-retry budget rides over the fault:
-    //    the delta is appended to the touched sets in place (new tuple
-    //    ids intern above the frozen id space) and epoch 2 is published.
+    //    every predicate re-runs over the grown corpus (new tuple ids
+    //    intern above the frozen id space) and epoch 2 is published.
     let ingest_start = Instant::now();
     let driver = FailingDriver::new(split.full.clone(), FailSchedule::nth(3));
     let report = epochs.ingest(driver.database(), 1)?;
     println!(
-        "epoch 2: ingested {} new tuples, re-scored {} of {} predicates in {:.1} ms \
+        "epoch 2: ingested {} new tuples, {} of {} predicates gained tuples in {:.1} ms \
          (1 fault retried)",
         report.new_tuples,
         report.changed.len(),

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # CI gate for the HYPRE reproduction workspace:
 #   fmt check → clippy (warnings are errors) → build (all targets) →
-#   tests → rustdoc (warnings are errors) → compile-and-run every
-#   example (doc rot and broken examples fail CI).
+#   workspace tests → the end-to-end benchmark's own tests (e2ebench,
+#   a separate package: percentile and span arithmetic) → rustdoc
+#   (warnings are errors) → compile-and-run every example (doc rot and
+#   broken examples fail CI).
 #
 # Usage: scripts/ci.sh [--release-bench] [--scaling] [--bench-1m]
 #   --release-bench  additionally regenerates the bench report and runs
@@ -70,6 +72,9 @@ cargo build --release
 
 echo "==> cargo test --workspace"
 cargo test --workspace -q
+
+echo "==> cargo test --manifest-path e2ebench/Cargo.toml"
+cargo test --offline -q --manifest-path e2ebench/Cargo.toml
 
 echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
