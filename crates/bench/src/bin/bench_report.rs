@@ -4,6 +4,13 @@
 //! regresses** by more than [`GUARD_MAX_REGRESSION`] — the bench gate
 //! `scripts/ci.sh --release-bench` runs.
 //!
+//! The report is one JSON object holding an array per section below.
+//! Every row is a flat JSON object on a line of its own whose values are
+//! integers, strings, or ratios written with two decimals. Only the
+//! `results` rows carry a `name` field: [`parse_result_row`] reads those
+//! back, from the baseline and from this run alike, and they are all the
+//! delta printer and the regression guard ever see.
+//!
 //! Measures, per corpus size (default 2 000 and 20 000 papers; override
 //! with `BENCH_SIZES=2000,20000`), across the **three generations** of
 //! set algebra (adaptive `TupleSet` / pure `BitSet` / seed
@@ -34,8 +41,7 @@
 //! * `live_ingest` — PR 6: warming on a 95 % base corpus then ingesting
 //!   the remaining 5 % as an append-only delta
 //!   (`ProfileCache::ingest_delta`) versus a cold full re-warm over the
-//!   grown corpus. Non-headline: the rows carry no `name` field, so the
-//!   regression guard ignores them;
+//!   grown corpus;
 //! * `scaling` — PR 8 (only with `--scaling`, the `scripts/ci.sh
 //!   --scaling` mode): per-thread-count curves at 1, 2, 4 and 8 workers
 //!   for the pairwise build, PEPS top-k (work-stealing rounds) and
@@ -43,22 +49,18 @@
 //!   1-core host the section records an explicit
 //!   `"skipped": "available_parallelism=1"` marker instead of junk
 //!   spawn-overhead rows; without the flag it records
-//!   `"skipped": "not_requested"`. Non-headline either way (the rows
-//!   carry no `name` field), so the regression guard never trips on a
-//!   host's core count;
+//!   `"skipped": "not_requested"`. The rows are never headline rows, so
+//!   the regression guard never trips on a host's core count;
 //! * `batched_serving` — PR 7: 100–400 simulated sessions drawing
 //!   profiles Zipf-popularly from the variant pool, served unbatched
 //!   (every session its own executor + PEPS rounds, fanned over 4 OS
 //!   threads) versus one `BatchScheduler` run that evaluates each
 //!   distinct profile identity once and demultiplexes. Both shapes are
-//!   checksum-verified equal before timing. Non-headline, same as
-//!   `live_ingest`;
+//!   checksum-verified equal before timing;
 //! * `graph_workload` — PR 10: the graph-derived workload end to end —
 //!   property-graph build over the corpus, co-author/venue co-occurrence
 //!   derivation, DSL parse + compile of a profile naming `COAUTHOR_OF` /
-//!   `SAME_VENUE_AS` atoms, and PEPS top-k over the compiled atoms.
-//!   Non-headline (the rows carry a `stage` field, no `name`), so the
-//!   regression guard and the delta printer ignore them;
+//!   `SAME_VENUE_AS` atoms, and PEPS top-k over the compiled atoms;
 //! * `storage_1m` — PR 9: the columnar `distinct_row_set` plan versus
 //!   the row-materialising reference on scan- and join-shaped queries,
 //!   and warm-snapshot persistence (`ProfileCache::save_to` /
@@ -68,8 +70,6 @@
 //!   through `load_streamed` and records single-shot end-to-end
 //!   timings: corpus build, profile warm, pairwise build, PEPS top-k,
 //!   snapshot save/load, and the columnar-vs-rowwise scan at scale.
-//!   Non-headline (custom field names), so the regression guard and
-//!   the delta printer ignore every row.
 //!
 //! The **headline rows** (`pairwise_build`, `peps_top_k` — including the
 //! PR 4 `sparse_k10` row over a sparse/range-heavy synthetic profile,
@@ -88,7 +88,7 @@
 //! the newest checked-in `BENCH_PR{n}.json`, which doubles as the
 //! baseline.
 
-use std::fmt::Write as _;
+use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -105,152 +105,324 @@ const GUARD_MAX_REGRESSION: f64 = 1.25;
 /// Sections the regression guard watches.
 const HEADLINE_SECTIONS: [&str; 2] = ["pairwise_build", "peps_top_k"];
 
-/// One comparison row: median nanoseconds per generation.
+/// Worker counts the `--scaling` curves sweep.
+const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// Where a row goes: the report's arrays, in output order. `storage_1m`
+/// holds three kinds of row, written kind by kind in this order.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Target {
+    Cold,
+    Results,
+    Parallel,
+    Containers,
+    MultiSession,
+    LiveIngest,
+    BatchedServing,
+    GraphWorkload,
+    StorageScan,
+    StorageSnapshot,
+    StorageMillion,
+    Scaling,
+    Memory,
+}
+
+impl Target {
+    const ALL: [Target; 13] = [
+        Target::Cold,
+        Target::Results,
+        Target::Parallel,
+        Target::Containers,
+        Target::MultiSession,
+        Target::LiveIngest,
+        Target::BatchedServing,
+        Target::GraphWorkload,
+        Target::StorageScan,
+        Target::StorageSnapshot,
+        Target::StorageMillion,
+        Target::Scaling,
+        Target::Memory,
+    ];
+
+    /// The JSON array the row lands in.
+    fn array(self) -> &'static str {
+        match self {
+            Target::Cold => "cold",
+            Target::Results => "results",
+            Target::Parallel => "parallel",
+            Target::Containers => "containers",
+            Target::MultiSession => "multi_session",
+            Target::LiveIngest => "live_ingest",
+            Target::BatchedServing => "batched_serving",
+            Target::GraphWorkload => "graph_workload",
+            Target::StorageScan | Target::StorageSnapshot | Target::StorageMillion => "storage_1m",
+            Target::Scaling => "scaling",
+            Target::Memory => "memory",
+        }
+    }
+}
+
+/// A row's field value.
+enum Val {
+    Int(u128),
+    Str(String),
+    /// Written with two decimals.
+    Ratio(f64),
+}
+
+impl From<usize> for Val {
+    fn from(v: usize) -> Self {
+        Val::Int(v as u128)
+    }
+}
+
+impl From<u128> for Val {
+    fn from(v: u128) -> Self {
+        Val::Int(v)
+    }
+}
+
+impl From<&str> for Val {
+    fn from(v: &str) -> Self {
+        Val::Str(v.to_owned())
+    }
+}
+
+impl From<String> for Val {
+    fn from(v: String) -> Self {
+        Val::Str(v)
+    }
+}
+
+impl fmt::Display for Val {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Val::Int(v) => write!(f, "{v}"),
+            Val::Str(s) => f.write_str(s),
+            Val::Ratio(r) => write!(f, "{r:.2}"),
+        }
+    }
+}
+
+/// `num / den` as a [`Val::Ratio`] (a speedup when `den` is the faster
+/// side's time).
+fn ratio(num: u128, den: u128) -> Val {
+    Val::Ratio(num as f64 / den.max(1) as f64)
+}
+
+/// One report row: its target array and its fields in output order.
 struct Row {
+    target: Target,
+    fields: Vec<(&'static str, Val)>,
+}
+
+impl Row {
+    fn new(target: Target) -> Self {
+        Row {
+            target,
+            fields: Vec::new(),
+        }
+    }
+
+    fn with(mut self, key: &'static str, value: impl Into<Val>) -> Self {
+        self.fields.push((key, value.into()));
+        self
+    }
+
+    /// The row as a flat one-line JSON object.
+    fn json(&self) -> String {
+        let fields: Vec<String> = self
+            .fields
+            .iter()
+            .map(|(key, value)| match value {
+                Val::Str(s) => format!("\"{key}\":\"{s}\""),
+                _ => format!("\"{key}\":{value}"),
+            })
+            .collect();
+        format!("{{{}}}", fields.join(","))
+    }
+}
+
+/// A `results` row: medians of one operation under the three
+/// generations. Rows of the [`HEADLINE_SECTIONS`] are the guard's.
+fn results_row(
     section: &'static str,
-    name: String,
+    name: impl Into<String>,
     papers: usize,
     adaptive_ns: u128,
     bitset_ns: u128,
     hashset_ns: u128,
+) -> Row {
+    Row::new(Target::Results)
+        .with("section", section)
+        .with("name", name.into())
+        .with("papers", papers)
+        .with("adaptive_ns", adaptive_ns)
+        .with("bitset_ns", bitset_ns)
+        .with("hashset_ns", hashset_ns)
+        .with("vs_bitset", ratio(bitset_ns, adaptive_ns))
+        .with("vs_hashset", ratio(hashset_ns, adaptive_ns))
 }
 
-impl Row {
-    /// Speedup of the adaptive engine over the pure-bitmap generation.
-    fn vs_bitset(&self) -> f64 {
-        self.bitset_ns as f64 / self.adaptive_ns.max(1) as f64
-    }
-
-    /// Speedup of the adaptive engine over the seed generation.
-    fn vs_hashset(&self) -> f64 {
-        self.hashset_ns as f64 / self.adaptive_ns.max(1) as f64
-    }
-}
-
-/// One memory row: container bytes for a profile tuple set under both
-/// dense generations, tagged with the adaptive container it picked.
-struct MemRow {
+/// A `storage_1m` row: the columnar plan against the row-materialising
+/// reference over one query.
+fn scan_row(
     papers: usize,
-    name: String,
-    container: &'static str,
-    cardinality: usize,
-    adaptive_bytes: usize,
-    bitset_bytes: usize,
-}
-
-/// One parallel row: a warm parallel phase at a worker count
-/// (`pairwise_build_parallel` or `peps_parallel`).
-struct ParallelRow {
-    section: &'static str,
-    papers: usize,
-    threads: usize,
-    ns: u128,
-}
-
-/// One container-census row: how many of the profile's tuple sets picked
-/// a container, and what they cost against the pure-bitmap generation.
-struct ContainerRow {
-    papers: usize,
-    container: &'static str,
-    sets: usize,
-    adaptive_bytes: usize,
-    bitset_bytes: usize,
-}
-
-/// One serving row: N sessions cold versus over a shared snapshot.
-struct MultiSessionRow {
-    papers: usize,
-    sessions: usize,
-    cold_ns: u128,
-    shared_ns: u128,
-    warm_build_ns: u128,
-}
-
-/// One live-ingest row: appending a delta into a warmed snapshot versus
-/// a cold full re-warm over the grown corpus.
-struct LiveIngestRow {
-    papers: usize,
-    delta_rows: usize,
-    changed_predicates: usize,
-    ingest_ns: u128,
-    rewarm_ns: u128,
-}
-
-/// Worker counts the `--scaling` curves sweep.
-const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// One scaling-curve row: a warm parallel phase at a worker count, for
-/// the multi-core curves the `--scaling` mode emits, plus the summed
-/// work-stealing counters (`crate::steal`) of one instrumented run of
-/// the phase — tasks claimed, successful steals, idle victim probes.
-/// Phases that never enter the work-stealing pool report zeros.
-/// Non-headline (no `name` field in the JSON), so the regression guard
-/// ignores it.
-struct ScalingRow {
-    phase: &'static str,
-    papers: usize,
-    threads: usize,
-    ns: u128,
-    tasks: usize,
-    steals: usize,
-    idle_probes: usize,
-}
-
-/// One storage row (PR 9): the columnar `distinct_row_set` plan versus
-/// the row-materialising reference over the identical query. Custom
-/// field names keep it out of the regression guard.
-struct StorageScanRow {
-    papers: usize,
-    name: &'static str,
+    query: &str,
     rows_out: usize,
     columnar_ns: u128,
     rowwise_ns: u128,
+) -> Row {
+    Row::new(Target::StorageScan)
+        .with("section", "storage_1m")
+        .with("kind", "distinct_row_set")
+        .with("query", query)
+        .with("papers", papers)
+        .with("rows_out", rows_out)
+        .with("columnar_ns", columnar_ns)
+        .with("rowwise_ns", rowwise_ns)
+        .with("speedup", ratio(rowwise_ns, columnar_ns))
 }
 
-/// One snapshot row (PR 9): persisting a warmed `ProfileCache` to the
-/// versioned binary snapshot format versus re-warming the same profile
-/// from SQL.
-struct StorageSnapRow {
+/// A `storage_1m` row: saving and loading a warm snapshot against
+/// re-warming the same profile from SQL.
+fn snapshot_row(
     papers: usize,
     sets: usize,
     snapshot_bytes: u64,
     save_ns: u128,
     load_ns: u128,
     rewarm_ns: u128,
+) -> Row {
+    Row::new(Target::StorageSnapshot)
+        .with("section", "storage_1m")
+        .with("kind", "snapshot")
+        .with("papers", papers)
+        .with("sets", sets)
+        .with("snapshot_bytes", u128::from(snapshot_bytes))
+        .with("save_ns", save_ns)
+        .with("load_ns", load_ns)
+        .with("rewarm_ns", rewarm_ns)
+        .with("speedup", ratio(rewarm_ns, load_ns))
 }
 
-/// One million-paper gate row (PR 9, `--bench-1m`): a single-shot
-/// end-to-end phase timing over the streamed corpus — these phases run
-/// seconds to minutes, so they are timed once with [`time_once`]
-/// instead of the median-of-5 harness.
-struct StorageMillionRow {
-    papers: usize,
-    phase: &'static str,
-    ns: u128,
-    detail: String,
+/// A `storage_1m` row of the `--bench-1m` gate: one phase over the
+/// streamed corpus, timed once with [`time_once`].
+fn million_row(papers: usize, phase: &str, ns: u128, detail: String) -> Row {
+    Row::new(Target::StorageMillion)
+        .with("section", "storage_1m")
+        .with("kind", "million_gate")
+        .with("phase", phase)
+        .with("papers", papers)
+        .with("ns", ns)
+        .with("detail", detail)
 }
 
-/// One batched-serving row: a Zipf session mix served unbatched versus
-/// through one `BatchScheduler` run.
-struct BatchedServingRow {
-    papers: usize,
-    sessions: usize,
-    profiles: usize,
-    groups: usize,
-    shared: usize,
-    unbatched_ns: u128,
-    batched_ns: u128,
+/// A `graph_workload` row: one stage of the graph-derived pipeline.
+fn graph_row(papers: usize, stage: &str, ns: u128, detail: String) -> Row {
+    Row::new(Target::GraphWorkload)
+        .with("section", "graph_workload")
+        .with("papers", papers)
+        .with("stage", stage)
+        .with("ns", ns)
+        .with("detail", detail)
 }
 
-/// One graph-workload row (PR 10): a stage of the graph-derived pipeline
-/// — property-graph build, co-occurrence derivation, DSL compile, PEPS
-/// top-k over derived atoms. Non-headline: the `stage` field (no `name`)
-/// keeps every row out of the regression guard and the delta printer.
-struct GraphWorkloadRow {
+/// A `parallel` row: a warm parallel phase at a worker count.
+fn parallel_row(section: &str, papers: usize, threads: usize, ns: u128) -> Row {
+    Row::new(Target::Parallel)
+        .with("section", section)
+        .with("papers", papers)
+        .with("threads", threads)
+        .with("ns", ns)
+}
+
+/// A `scaling` row: times `run` with the median harness, then runs it
+/// once more with the work-stealing counters (`crate::steal`) drained,
+/// so the row carries that run's tasks, steals and idle victim probes
+/// (zeros for phases that never enter the pool). `one_worker_ns` keeps
+/// the phase's 1-worker time, the base of `speedup_vs_1`; the sweep runs
+/// one worker first.
+fn scaling_row(
+    phase: &str,
     papers: usize,
-    stage: &'static str,
-    ns: u128,
-    detail: String,
+    threads: usize,
+    one_worker_ns: &mut u128,
+    mut run: impl FnMut() -> usize,
+) -> Row {
+    let ns = measure(&mut run);
+    let _ = take_cumulative_stats();
+    run();
+    let (tasks, steals, idle_probes) = steal_totals();
+    if threads == 1 {
+        *one_worker_ns = ns;
+    }
+    Row::new(Target::Scaling)
+        .with("section", "scaling")
+        .with("phase", phase)
+        .with("papers", papers)
+        .with("threads", threads)
+        .with("ns", ns)
+        .with("speedup_vs_1", ratio(*one_worker_ns, ns))
+        .with("tasks", tasks)
+        .with("steals", steals)
+        .with("idle_probes", idle_probes)
+}
+
+/// Renders the report: a header, then every array in [`Target`] order.
+/// `scaling_skip` replaces the scaling rows with a skip marker.
+fn render_report(
+    bench: &str,
+    sizes: &[usize],
+    cores: usize,
+    rows: &[Row],
+    scaling_skip: Option<&str>,
+) -> String {
+    let mut arrays: Vec<(&str, Vec<String>)> = Vec::new();
+    for target in Target::ALL {
+        let lines = rows
+            .iter()
+            .filter(|r| r.target == target)
+            .map(|r| format!("    {}", r.json()));
+        match arrays.last_mut() {
+            Some((array, group)) if *array == target.array() => group.extend(lines),
+            _ => arrays.push((target.array(), lines.collect())),
+        }
+    }
+    let arrays: Vec<String> = arrays
+        .into_iter()
+        .map(|(array, lines)| {
+            let body = if lines.is_empty() {
+                String::new()
+            } else {
+                format!("{}\n", lines.join(",\n"))
+            };
+            match (array, scaling_skip) {
+                ("scaling", Some(reason)) => {
+                    format!("  \"scaling\": {{\"skipped\": \"{reason}\"}}")
+                }
+                ("scaling", None) => format!(
+                    "  \"scaling\": {{\"threads\": {SCALING_THREADS:?}, \"rows\": [\n{body}  ]}}"
+                ),
+                _ => format!("  \"{array}\": [\n{body}  ]"),
+            }
+        })
+        .collect();
+    format!(
+        "{{\n  \"bench\": \"{bench}\",\n  \"sizes\": {sizes:?},\n  \"available_parallelism\": {cores},\n{}\n}}\n",
+        arrays.join(",\n")
+    )
+}
+
+/// Prints every row in report order as its array name and `key=value`
+/// fields.
+fn print_rows(rows: &[Row]) {
+    for target in Target::ALL {
+        for row in rows.iter().filter(|r| r.target == target) {
+            let fields: Vec<String> = row.fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            println!("{:>18} {}", target.array(), fields.join(" "));
+        }
+    }
 }
 
 fn measure<R>(f: impl FnMut() -> R) -> u128 {
@@ -373,18 +545,6 @@ fn main() {
     }
 
     let mut rows: Vec<Row> = Vec::new();
-    let mut mem: Vec<MemRow> = Vec::new();
-    let mut parallel: Vec<ParallelRow> = Vec::new();
-    let mut containers: Vec<ContainerRow> = Vec::new();
-    let mut multi: Vec<MultiSessionRow> = Vec::new();
-    let mut live: Vec<LiveIngestRow> = Vec::new();
-    let mut batched: Vec<BatchedServingRow> = Vec::new();
-    let mut graph_rows: Vec<GraphWorkloadRow> = Vec::new();
-    let mut scaling: Vec<ScalingRow> = Vec::new();
-    let mut storage_scans: Vec<StorageScanRow> = Vec::new();
-    let mut storage_snaps: Vec<StorageSnapRow> = Vec::new();
-    let mut storage_million: Vec<StorageMillionRow> = Vec::new();
-    let mut extra = String::new();
 
     let cores = Parallelism::Auto.workers();
     // The scaling curves only mean something with real cores behind
@@ -406,10 +566,11 @@ fn main() {
                 .unwrap()
                 .applicable_count()
         });
-        let _ = write!(
-            extra,
-            "{}{{\"section\":\"pairwise_build_cold\",\"papers\":{n},\"adaptive_ns\":{cold_ns}}}",
-            if extra.is_empty() { "" } else { ",\n    " },
+        rows.push(
+            Row::new(Target::Cold)
+                .with("section", "pairwise_build_cold")
+                .with("papers", n)
+                .with("adaptive_ns", cold_ns),
         );
 
         // Warm engines: the comparison isolates set algebra.
@@ -420,58 +581,50 @@ fn main() {
         bitset.warm(&atoms).unwrap();
         let pairs = PairwiseCache::build(&atoms, &exec).unwrap();
 
-        rows.push(Row {
-            section: "pairwise_build",
-            name: "warm".to_owned(),
-            papers: n,
-            adaptive_ns: measure(|| {
+        rows.push(results_row(
+            "pairwise_build",
+            "warm",
+            n,
+            measure(|| {
                 PairwiseCache::build(&atoms, &exec)
                     .unwrap()
                     .applicable_count()
             }),
-            bitset_ns: measure(|| bitset.pairwise_counts(&atoms).unwrap().len()),
-            hashset_ns: measure(|| hashset.pairwise_counts(&atoms).unwrap().len()),
-        });
+            measure(|| bitset.pairwise_counts(&atoms).unwrap().len()),
+            measure(|| hashset.pairwise_counts(&atoms).unwrap().len()),
+        ));
 
         // PR 3: the same warm triangular pass, sharded (cost-weighted
         // chunks since PR 4).
         for threads in [1usize, 2, 4] {
-            parallel.push(ParallelRow {
-                section: "pairwise_build_parallel",
-                papers: n,
-                threads,
-                ns: measure(|| {
-                    PairwiseCache::build_with(&atoms, &exec, Parallelism::threads(threads))
-                        .unwrap()
-                        .applicable_count()
-                }),
+            let ns = measure(|| {
+                PairwiseCache::build_with(&atoms, &exec, Parallelism::threads(threads))
+                    .unwrap()
+                    .applicable_count()
             });
+            rows.push(parallel_row("pairwise_build_parallel", n, threads, ns));
         }
 
         let peps = Peps::new(&atoms, &exec, &pairs, PepsVariant::Complete);
         let dense_peps = BitsetPeps::new(&atoms, &bitset, &pairs, PepsVariant::Complete);
         let seed_peps = SeedPeps::new(&atoms, &hashset, &pairs, PepsVariant::Complete);
         for k in [10usize, 100] {
-            rows.push(Row {
-                section: "peps_top_k",
-                name: format!("complete_k{k}"),
-                papers: n,
-                adaptive_ns: measure(|| peps.top_k(k).unwrap().len()),
-                bitset_ns: measure(|| dense_peps.top_k(k).unwrap().len()),
-                hashset_ns: measure(|| seed_peps.top_k(k).unwrap().len()),
-            });
+            rows.push(results_row(
+                "peps_top_k",
+                format!("complete_k{k}"),
+                n,
+                measure(|| peps.top_k(k).unwrap().len()),
+                measure(|| dense_peps.top_k(k).unwrap().len()),
+                measure(|| seed_peps.top_k(k).unwrap().len()),
+            ));
         }
 
         // PR 4: the same top_k with the round expansions sharded across
         // the executor's Parallelism workers.
         for threads in [1usize, 2, 4] {
             exec.set_parallelism(Parallelism::threads(threads));
-            parallel.push(ParallelRow {
-                section: "peps_parallel",
-                papers: n,
-                threads,
-                ns: measure(|| peps.top_k(100).unwrap().len()),
-            });
+            let ns = measure(|| peps.top_k(100).unwrap().len());
+            rows.push(parallel_row("peps_parallel", n, threads, ns));
         }
         exec.set_parallelism(Parallelism::Sequential);
 
@@ -492,33 +645,34 @@ fn main() {
             &sparse_pairs,
             PepsVariant::Complete,
         );
-        rows.push(Row {
-            section: "peps_top_k",
-            name: "sparse_k10".to_owned(),
-            papers: n,
-            adaptive_ns: measure(|| sparse_peps.top_k(10).unwrap().len()),
-            bitset_ns: measure(|| sparse_dense.top_k(10).unwrap().len()),
-            hashset_ns: measure(|| sparse_seed.top_k(10).unwrap().len()),
-        });
+        rows.push(results_row(
+            "peps_top_k",
+            "sparse_k10",
+            n,
+            measure(|| sparse_peps.top_k(10).unwrap().len()),
+            measure(|| sparse_dense.top_k(10).unwrap().len()),
+            measure(|| sparse_seed.top_k(10).unwrap().len()),
+        ));
 
         // PR 4: container census of the rich profile's tuple sets.
         for kind in ["array", "runs", "bitmap"] {
-            let mut row = ContainerRow {
-                papers: n,
-                container: kind,
-                sets: 0,
-                adaptive_bytes: 0,
-                bitset_bytes: 0,
-            };
+            let (mut sets, mut adaptive_bytes, mut bitset_bytes) = (0usize, 0usize, 0usize);
             for a in &atoms {
                 let set = exec.tuple_set(&a.predicate).unwrap();
                 if set.container() == kind {
-                    row.sets += 1;
-                    row.adaptive_bytes += set.heap_bytes();
-                    row.bitset_bytes += bitset.tuple_set(&a.predicate).unwrap().heap_bytes();
+                    sets += 1;
+                    adaptive_bytes += set.heap_bytes();
+                    bitset_bytes += bitset.tuple_set(&a.predicate).unwrap().heap_bytes();
                 }
             }
-            containers.push(row);
+            rows.push(
+                Row::new(Target::Containers)
+                    .with("papers", n)
+                    .with("container", kind)
+                    .with("sets", sets)
+                    .with("adaptive_bytes", adaptive_bytes)
+                    .with("bitset_bytes", bitset_bytes),
+            );
         }
 
         // PR 3: multi-session serving — N sessions over one shared
@@ -534,17 +688,19 @@ fn main() {
         });
         let cache = Arc::new(ProfileCache::snapshot(&exec));
         let base = BaseQuery::dblp();
-        multi.push(MultiSessionRow {
-            papers: n,
-            sessions: SESSIONS,
-            cold_ns: measure(|| {
-                serving::serve_cold_concurrent(&fx.db, &base, &atoms, SESSIONS, 10)
-            }),
-            shared_ns: measure(|| {
-                serving::serve_shared_concurrent(&fx.db, &cache, &atoms, SESSIONS, 10)
-            }),
-            warm_build_ns,
-        });
+        let cold_ns =
+            measure(|| serving::serve_cold_concurrent(&fx.db, &base, &atoms, SESSIONS, 10));
+        let shared_ns =
+            measure(|| serving::serve_shared_concurrent(&fx.db, &cache, &atoms, SESSIONS, 10));
+        rows.push(
+            Row::new(Target::MultiSession)
+                .with("papers", n)
+                .with("sessions", SESSIONS)
+                .with("cold_ns", cold_ns)
+                .with("shared_ns", shared_ns)
+                .with("warm_build_ns", warm_build_ns)
+                .with("speedup", ratio(cold_ns, shared_ns)),
+        );
 
         // PR 6: live ingest — warm once on a 95 % base corpus, then
         // append the remaining 5 % as an append-only delta. Ingest
@@ -557,17 +713,21 @@ fn main() {
         let (_, report) = base_cache
             .ingest_delta(&split.full)
             .expect("append-only delta ingests");
-        live.push(LiveIngestRow {
-            papers: n,
-            delta_rows: split.delta_papers + split.delta_links,
-            changed_predicates: report.changed.len(),
-            ingest_ns: measure(|| base_cache.ingest_delta(&split.full).unwrap().1.new_tuples),
-            rewarm_ns: measure(|| {
-                ProfileCache::warm(&split.full, BaseQuery::dblp(), predicates.clone())
-                    .unwrap()
-                    .len()
-            }),
+        let ingest_ns = measure(|| base_cache.ingest_delta(&split.full).unwrap().1.new_tuples);
+        let rewarm_ns = measure(|| {
+            ProfileCache::warm(&split.full, BaseQuery::dblp(), predicates.clone())
+                .unwrap()
+                .len()
         });
+        rows.push(
+            Row::new(Target::LiveIngest)
+                .with("papers", n)
+                .with("delta_rows", split.delta_papers + split.delta_links)
+                .with("changed_predicates", report.changed.len())
+                .with("ingest_ns", ingest_ns)
+                .with("rewarm_ns", rewarm_ns)
+                .with("speedup", ratio(rewarm_ns, ingest_ns)),
+        );
 
         // PR 9: columnar segment storage. Two query shapes where the
         // columnar plan and the row-materialising reference do the same
@@ -592,13 +752,13 @@ fn main() {
             let fast = q.distinct_row_set(&fx.db).unwrap();
             let slow = q.distinct_row_set_rowwise(&fx.db).unwrap();
             assert_eq!(fast, slow, "columnar and rowwise plans must agree ({name})");
-            storage_scans.push(StorageScanRow {
-                papers: n,
+            rows.push(scan_row(
+                n,
                 name,
-                rows_out: fast.len(),
-                columnar_ns: measure(|| q.distinct_row_set(&fx.db).unwrap().len()),
-                rowwise_ns: measure(|| q.distinct_row_set_rowwise(&fx.db).unwrap().len()),
-            });
+                fast.len(),
+                measure(|| q.distinct_row_set(&fx.db).unwrap().len()),
+                measure(|| q.distinct_row_set_rowwise(&fx.db).unwrap().len()),
+            ));
         }
 
         // PR 9: warm-snapshot persistence — save the warmed profile
@@ -613,18 +773,18 @@ fn main() {
         let snapshot_bytes = std::fs::metadata(&snap_path)
             .expect("snapshot written")
             .len();
-        storage_snaps.push(StorageSnapRow {
-            papers: n,
-            sets: warm_cache.len(),
+        rows.push(snapshot_row(
+            n,
+            warm_cache.len(),
             snapshot_bytes,
             save_ns,
-            load_ns: measure(|| ProfileCache::load_from(&snap_path, &fx.db).unwrap().0.len()),
-            rewarm_ns: measure(|| {
+            measure(|| ProfileCache::load_from(&snap_path, &fx.db).unwrap().0.len()),
+            measure(|| {
                 ProfileCache::warm(&fx.db, BaseQuery::dblp(), predicates.clone())
                     .unwrap()
                     .len()
             }),
-        });
+        ));
         let _ = std::fs::remove_file(&snap_path);
 
         // PR 7: batched cross-session serving. Sessions draw their
@@ -655,25 +815,23 @@ fn main() {
                 unbatched_total, batched_total,
                 "batched and unbatched serving must agree before timing"
             );
-            batched.push(BatchedServingRow {
-                papers: n,
-                sessions,
-                profiles: profiles.len(),
-                groups: stats.groups,
-                shared: stats.shared,
-                unbatched_ns: measure(|| {
-                    serving::serve_unbatched_sessions(&fx.db, &zipf_cache, &mix, 4)
-                }),
-                batched_ns: measure(|| {
-                    serving::serve_batched_sessions(
-                        &fx.db,
-                        &zipf_cache,
-                        &mix,
-                        Parallelism::threads(4),
-                    )
+            let unbatched_ns =
+                measure(|| serving::serve_unbatched_sessions(&fx.db, &zipf_cache, &mix, 4));
+            let batched_ns = measure(|| {
+                serving::serve_batched_sessions(&fx.db, &zipf_cache, &mix, Parallelism::threads(4))
                     .0
-                }),
             });
+            rows.push(
+                Row::new(Target::BatchedServing)
+                    .with("papers", n)
+                    .with("sessions", sessions)
+                    .with("profiles", profiles.len())
+                    .with("groups", stats.groups)
+                    .with("shared", stats.shared)
+                    .with("unbatched_ns", unbatched_ns)
+                    .with("batched_ns", batched_ns)
+                    .with("speedup", ratio(unbatched_ns, batched_ns)),
+            );
         }
 
         // PR 10: the graph-derived workload family — corpus into the
@@ -684,27 +842,27 @@ fn main() {
             use dblp_workload::graph::PaperGraph;
             let (build_ns, mut pg) =
                 time_once(|| PaperGraph::build(&fx.dataset).expect("corpus loads into the graph"));
-            graph_rows.push(GraphWorkloadRow {
-                papers: n,
-                stage: "build_graph",
-                ns: build_ns,
-                detail: format!(
+            rows.push(graph_row(
+                n,
+                "build_graph",
+                build_ns,
+                format!(
                     "{} nodes, {} edges",
                     pg.graph.node_count(),
                     pg.graph.edge_count()
                 ),
-            });
+            ));
             let (derive_ns, (co_report, venue_report)) =
                 time_once(|| pg.derive_preference_edges(4).expect("derivation succeeds"));
-            graph_rows.push(GraphWorkloadRow {
-                papers: n,
-                stage: "derive_edges",
-                ns: derive_ns,
-                detail: format!(
+            rows.push(graph_row(
+                n,
+                "derive_edges",
+                derive_ns,
+                format!(
                     "{} coauthor + {} venue pairs",
                     co_report.pairs, venue_report.pairs
                 ),
-            });
+            ));
             let catalog = pg.derived_catalog(&fx.dataset);
             let author = fx
                 .dataset
@@ -743,23 +901,18 @@ fn main() {
                 .expect("bench profile compiles")
                 .atoms()
                 .expect("atoms build");
-            graph_rows.push(GraphWorkloadRow {
-                papers: n,
-                stage: "dsl_compile",
-                ns: compile_ns,
-                detail: format!("{} positive atoms", g_atoms.len()),
-            });
+            rows.push(graph_row(
+                n,
+                "dsl_compile",
+                compile_ns,
+                format!("{} positive atoms", g_atoms.len()),
+            ));
             let g_exec = fx.executor();
             let g_pairs =
                 PairwiseCache::build(&g_atoms, &g_exec).expect("pairwise over derived atoms");
             let g_peps = Peps::new(&g_atoms, &g_exec, &g_pairs, PepsVariant::Complete);
             let topk_ns = measure(|| g_peps.top_k(10).expect("top-k over derived atoms").len());
-            graph_rows.push(GraphWorkloadRow {
-                papers: n,
-                stage: "graph_top_k",
-                ns: topk_ns,
-                detail: "k=10".to_owned(),
-            });
+            rows.push(graph_row(n, "graph_top_k", topk_ns, "k=10".to_owned()));
         }
 
         // PR 8: multi-core scaling curves (only with --scaling, and
@@ -770,71 +923,44 @@ fn main() {
         // byte-identical at every count (tests/parallel_equivalence.rs
         // pins this), so the curves measure pure scheduling.
         if measure_scaling {
-            // Each phase is timed with the median harness, then run
-            // once more with the cumulative steal counters drained so
-            // the row carries the per-run work-stealing profile.
             let scaling_mix = serving::zipf_session_mix(&profiles, 100, 10, 1.1, 42);
+            let mut one_worker_ns = [0u128; 3];
             for threads in SCALING_THREADS {
-                let ns = measure(|| {
-                    PairwiseCache::build_with(&atoms, &exec, Parallelism::threads(threads))
-                        .unwrap()
-                        .applicable_count()
-                });
-                let _ = take_cumulative_stats();
-                PairwiseCache::build_with(&atoms, &exec, Parallelism::threads(threads))
-                    .unwrap()
-                    .applicable_count();
-                let (tasks, steals, idle_probes) = steal_totals();
-                scaling.push(ScalingRow {
-                    phase: "pairwise_build",
-                    papers: n,
+                rows.push(scaling_row(
+                    "pairwise_build",
+                    n,
                     threads,
-                    ns,
-                    tasks,
-                    steals,
-                    idle_probes,
-                });
+                    &mut one_worker_ns[0],
+                    || {
+                        PairwiseCache::build_with(&atoms, &exec, Parallelism::threads(threads))
+                            .unwrap()
+                            .applicable_count()
+                    },
+                ));
                 exec.set_parallelism(Parallelism::threads(threads));
-                let ns = measure(|| peps.top_k(100).unwrap().len());
-                let _ = take_cumulative_stats();
-                peps.top_k(100).unwrap();
-                let (tasks, steals, idle_probes) = steal_totals();
-                scaling.push(ScalingRow {
-                    phase: "peps_top_k",
-                    papers: n,
+                rows.push(scaling_row(
+                    "peps_top_k",
+                    n,
                     threads,
-                    ns,
-                    tasks,
-                    steals,
-                    idle_probes,
-                });
+                    &mut one_worker_ns[1],
+                    || peps.top_k(100).unwrap().len(),
+                ));
                 exec.set_parallelism(Parallelism::Sequential);
-                let ns = measure(|| {
-                    serving::serve_batched_sessions(
-                        &fx.db,
-                        &zipf_cache,
-                        &scaling_mix,
-                        Parallelism::threads(threads),
-                    )
-                    .0
-                });
-                let _ = take_cumulative_stats();
-                serving::serve_batched_sessions(
-                    &fx.db,
-                    &zipf_cache,
-                    &scaling_mix,
-                    Parallelism::threads(threads),
-                );
-                let (tasks, steals, idle_probes) = steal_totals();
-                scaling.push(ScalingRow {
-                    phase: "batched_serving",
-                    papers: n,
+                rows.push(scaling_row(
+                    "batched_serving",
+                    n,
                     threads,
-                    ns,
-                    tasks,
-                    steals,
-                    idle_probes,
-                });
+                    &mut one_worker_ns[2],
+                    || {
+                        serving::serve_batched_sessions(
+                            &fx.db,
+                            &zipf_cache,
+                            &scaling_mix,
+                            Parallelism::threads(threads),
+                        )
+                        .0
+                    },
+                ));
             }
         }
 
@@ -877,40 +1003,41 @@ fn main() {
                 ab.container(),
             );
             for (set_name, a_set, b_set) in [("a", &aa, &ba), ("b", &ab, &bb)] {
-                mem.push(MemRow {
-                    papers: n,
-                    name: format!("{section}/{set_name}"),
-                    container: a_set.container(),
-                    cardinality: a_set.count(),
-                    adaptive_bytes: a_set.heap_bytes(),
-                    bitset_bytes: b_set.heap_bytes(),
-                });
+                rows.push(
+                    Row::new(Target::Memory)
+                        .with("papers", n)
+                        .with("set", format!("{section}/{set_name}"))
+                        .with("container", a_set.container())
+                        .with("cardinality", a_set.count())
+                        .with("adaptive_bytes", a_set.heap_bytes())
+                        .with("bitset_bytes", b_set.heap_bytes()),
+                );
             }
 
-            rows.push(Row {
+            rows.push(results_row(
                 section,
-                name: "and_count".to_owned(),
-                papers: n,
-                adaptive_ns: measure(|| aa.and_count(&ab)),
-                bitset_ns: measure(|| ba.and_count(&bb)),
-                hashset_ns: measure(|| ha.iter().filter(|v| hb.contains(*v)).count()),
-            });
-            rows.push(Row {
+                "and_count",
+                n,
+                measure(|| aa.and_count(&ab)),
+                measure(|| ba.and_count(&bb)),
+                measure(|| ha.iter().filter(|v| hb.contains(*v)).count()),
+            ));
+            rows.push(results_row(
                 section,
-                name: "or".to_owned(),
-                papers: n,
-                adaptive_ns: measure(|| aa.or(&ab).count()),
-                bitset_ns: measure(|| ba.or(&bb).count()),
-                hashset_ns: measure(|| ha.union(&hb).count()),
-            });
-            rows.push(Row {
+                "or",
+                n,
+                measure(|| aa.or(&ab).count()),
+                measure(|| ba.or(&bb).count()),
+                measure(|| ha.union(&hb).count()),
+            ));
+            rows.push(results_row(
                 section,
-                name: "and_not".to_owned(),
-                papers: n,
-                adaptive_ns: measure(|| aa.and_not(&ab).count()),
-                bitset_ns: measure(|| ba.and_not(&bb).count()),
-                hashset_ns: measure(|| ha.difference(&hb).count()),
-            });
+                "and_not",
+                n,
+                measure(|| aa.and_not(&ab).count()),
+                measure(|| ba.and_not(&bb).count()),
+                measure(|| ha.difference(&hb).count()),
+            ));
         }
     }
 
@@ -937,12 +1064,12 @@ fn main() {
             time_once(|| dblp_workload::load_streamed(&config).expect("streamed load succeeds"));
         let paper_rows = db.table("dblp").expect("dblp loaded").len();
         let link_rows = db.table("dblp_author").expect("links loaded").len();
-        storage_million.push(StorageMillionRow {
-            papers: paper_rows,
-            phase: "load_streamed",
-            ns: build_ns,
-            detail: format!("paper_rows={paper_rows} link_rows={link_rows}"),
-        });
+        rows.push(million_row(
+            paper_rows,
+            "load_streamed",
+            build_ns,
+            format!("paper_rows={paper_rows} link_rows={link_rows}"),
+        ));
 
         let atoms = sparse_profile();
         let predicates: Vec<&relstore::Predicate> = atoms.iter().map(|a| &a.predicate).collect();
@@ -950,32 +1077,32 @@ fn main() {
             ProfileCache::warm(&db, BaseQuery::dblp(), predicates.clone())
                 .expect("million-paper warm succeeds")
         });
-        storage_million.push(StorageMillionRow {
-            papers: paper_rows,
-            phase: "profile_warm",
-            ns: warm_ns,
-            detail: format!("sets={}", cache.len()),
-        });
+        rows.push(million_row(
+            paper_rows,
+            "profile_warm",
+            warm_ns,
+            format!("sets={}", cache.len()),
+        ));
 
         let cache = Arc::new(cache);
         let session = Executor::with_cache(&db, Arc::clone(&cache)).expect("cached executor");
         let (pair_ns, pairs) =
             time_once(|| PairwiseCache::build(&atoms, &session).expect("pairwise build succeeds"));
-        storage_million.push(StorageMillionRow {
-            papers: paper_rows,
-            phase: "pairwise_build",
-            ns: pair_ns,
-            detail: format!("applicable={}", pairs.applicable_count()),
-        });
+        rows.push(million_row(
+            paper_rows,
+            "pairwise_build",
+            pair_ns,
+            format!("applicable={}", pairs.applicable_count()),
+        ));
 
         let peps = Peps::new(&atoms, &session, &pairs, PepsVariant::Complete);
         let (topk_ns, top) = time_once(|| peps.top_k(10).expect("top-k succeeds"));
-        storage_million.push(StorageMillionRow {
-            papers: paper_rows,
-            phase: "peps_top_k_k10",
-            ns: topk_ns,
-            detail: format!("returned={}", top.len()),
-        });
+        rows.push(million_row(
+            paper_rows,
+            "peps_top_k_k10",
+            topk_ns,
+            format!("returned={}", top.len()),
+        ));
 
         // Snapshot at scale: save + load once each; the re-warm
         // comparison is the single-shot warm measured above over the
@@ -993,14 +1120,14 @@ fn main() {
         let (load_ns, loaded) =
             time_once(|| ProfileCache::load_from(&snap_path, &db).expect("snapshot load"));
         let _ = std::fs::remove_file(&snap_path);
-        storage_snaps.push(StorageSnapRow {
-            papers: paper_rows,
-            sets: loaded.0.len(),
+        rows.push(snapshot_row(
+            paper_rows,
+            loaded.0.len(),
             snapshot_bytes,
             save_ns,
             load_ns,
-            rewarm_ns: warm_ns,
-        });
+            warm_ns,
+        ));
 
         let scan_q = relstore::SelectQuery::from("dblp").filter(
             relstore::parse_predicate("dblp.year>=2005 OR dblp.year<1995")
@@ -1011,349 +1138,37 @@ fn main() {
         let (rowwise_ns, slow) =
             time_once(|| scan_q.distinct_row_set_rowwise(&db).expect("rowwise scan"));
         assert_eq!(fast, slow, "columnar and rowwise plans must agree at 1M");
-        storage_scans.push(StorageScanRow {
-            papers: paper_rows,
-            name: "scan_or_filter",
-            rows_out: fast.len(),
+        rows.push(scan_row(
+            paper_rows,
+            "scan_or_filter",
+            fast.len(),
             columnar_ns,
             rowwise_ns,
-        });
+        ));
     }
 
-    let mut json = String::from("{\n");
-    let _ = write!(
-        json,
-        "  \"bench\": \"{}\",\n  \"sizes\": {:?},\n  \"available_parallelism\": {cores},\n  \"cold\": [\n    {extra}\n  ],\n  \"results\": [\n",
-        out_path.trim_end_matches(".json"),
-        sizes
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"section\":\"{}\",\"name\":\"{}\",\"papers\":{},\"adaptive_ns\":{},\"bitset_ns\":{},\"hashset_ns\":{},\"vs_bitset\":{:.2},\"vs_hashset\":{:.2}}}{}",
-            r.section,
-            r.name,
-            r.papers,
-            r.adaptive_ns,
-            r.bitset_ns,
-            r.hashset_ns,
-            r.vs_bitset(),
-            r.vs_hashset(),
-            if i + 1 == rows.len() { "" } else { "," },
-        );
-    }
-    json.push_str("  ],\n  \"parallel\": [\n");
-    for (i, p) in parallel.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"section\":\"{}\",\"papers\":{},\"threads\":{},\"ns\":{}}}{}",
-            p.section,
-            p.papers,
-            p.threads,
-            p.ns,
-            if i + 1 == parallel.len() { "" } else { "," },
-        );
-    }
-    json.push_str("  ],\n  \"containers\": [\n");
-    for (i, c) in containers.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"papers\":{},\"container\":\"{}\",\"sets\":{},\"adaptive_bytes\":{},\"bitset_bytes\":{}}}{}",
-            c.papers,
-            c.container,
-            c.sets,
-            c.adaptive_bytes,
-            c.bitset_bytes,
-            if i + 1 == containers.len() { "" } else { "," },
-        );
-    }
-    json.push_str("  ],\n  \"multi_session\": [\n");
-    for (i, m) in multi.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"papers\":{},\"sessions\":{},\"cold_ns\":{},\"shared_ns\":{},\"warm_build_ns\":{},\"speedup\":{:.2}}}{}",
-            m.papers,
-            m.sessions,
-            m.cold_ns,
-            m.shared_ns,
-            m.warm_build_ns,
-            m.cold_ns as f64 / m.shared_ns.max(1) as f64,
-            if i + 1 == multi.len() { "" } else { "," },
-        );
-    }
-    json.push_str("  ],\n  \"live_ingest\": [\n");
-    for (i, l) in live.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"papers\":{},\"delta_rows\":{},\"changed_predicates\":{},\"ingest_ns\":{},\"rewarm_ns\":{},\"speedup\":{:.2}}}{}",
-            l.papers,
-            l.delta_rows,
-            l.changed_predicates,
-            l.ingest_ns,
-            l.rewarm_ns,
-            l.rewarm_ns as f64 / l.ingest_ns.max(1) as f64,
-            if i + 1 == live.len() { "" } else { "," },
-        );
-    }
-    json.push_str("  ],\n  \"batched_serving\": [\n");
-    for (i, b) in batched.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"papers\":{},\"sessions\":{},\"profiles\":{},\"groups\":{},\"shared\":{},\"unbatched_ns\":{},\"batched_ns\":{},\"speedup\":{:.2}}}{}",
-            b.papers,
-            b.sessions,
-            b.profiles,
-            b.groups,
-            b.shared,
-            b.unbatched_ns,
-            b.batched_ns,
-            b.unbatched_ns as f64 / b.batched_ns.max(1) as f64,
-            if i + 1 == batched.len() { "" } else { "," },
-        );
-    }
-    json.push_str("  ],\n  \"graph_workload\": [\n");
-    for (i, g) in graph_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"section\":\"graph_workload\",\"papers\":{},\"stage\":\"{}\",\"ns\":{},\"detail\":\"{}\"}}{}",
-            g.papers,
-            g.stage,
-            g.ns,
-            g.detail,
-            if i + 1 == graph_rows.len() { "" } else { "," },
-        );
-    }
-    // PR 9 storage rows: three shapes share the section, told apart by
-    // their `kind` field. Custom field names (no `name`/`adaptive_ns`)
-    // keep every row out of the regression guard and the delta printer.
-    json.push_str("  ],\n  \"storage_1m\": [\n");
-    let storage_total = storage_scans.len() + storage_snaps.len() + storage_million.len();
-    let mut storage_emitted = 0usize;
-    let storage_sep = |emitted: &mut usize| {
-        *emitted += 1;
-        if *emitted == storage_total {
-            ""
-        } else {
-            ","
-        }
-    };
-    for s in &storage_scans {
-        let _ = writeln!(
-            json,
-            "    {{\"section\":\"storage_1m\",\"kind\":\"distinct_row_set\",\"query\":\"{}\",\"papers\":{},\"rows_out\":{},\"columnar_ns\":{},\"rowwise_ns\":{},\"speedup\":{:.2}}}{}",
-            s.name,
-            s.papers,
-            s.rows_out,
-            s.columnar_ns,
-            s.rowwise_ns,
-            s.rowwise_ns as f64 / s.columnar_ns.max(1) as f64,
-            storage_sep(&mut storage_emitted),
-        );
-    }
-    for s in &storage_snaps {
-        let _ = writeln!(
-            json,
-            "    {{\"section\":\"storage_1m\",\"kind\":\"snapshot\",\"papers\":{},\"sets\":{},\"snapshot_bytes\":{},\"save_ns\":{},\"load_ns\":{},\"rewarm_ns\":{},\"speedup\":{:.2}}}{}",
-            s.papers,
-            s.sets,
-            s.snapshot_bytes,
-            s.save_ns,
-            s.load_ns,
-            s.rewarm_ns,
-            s.rewarm_ns as f64 / s.load_ns.max(1) as f64,
-            storage_sep(&mut storage_emitted),
-        );
-    }
-    for s in &storage_million {
-        let _ = writeln!(
-            json,
-            "    {{\"section\":\"storage_1m\",\"kind\":\"million_gate\",\"phase\":\"{}\",\"papers\":{},\"ns\":{},\"detail\":\"{}\"}}{}",
-            s.phase,
-            s.papers,
-            s.ns,
-            s.detail,
-            storage_sep(&mut storage_emitted),
-        );
-    }
     // The scaling section is always present so downstream parsers see a
     // stable schema: either measured rows or an explicit skip marker
     // (1-core hosts would measure spawn overhead, not scaling).
-    json.push_str("  ],\n  \"scaling\": ");
-    if measure_scaling {
-        let _ = writeln!(json, "{{\"threads\": {SCALING_THREADS:?}, \"rows\": [");
-        for (i, s) in scaling.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "    {{\"section\":\"scaling\",\"phase\":\"{}\",\"papers\":{},\"threads\":{},\"ns\":{},\"speedup_vs_1\":{:.2},\"tasks\":{},\"steals\":{},\"idle_probes\":{}}}{}",
-                s.phase,
-                s.papers,
-                s.threads,
-                s.ns,
-                scaling_speedup(&scaling, s),
-                s.tasks,
-                s.steals,
-                s.idle_probes,
-                if i + 1 == scaling.len() { "" } else { "," },
-            );
-        }
-        json.push_str("  ]},\n  \"memory\": [\n");
-    } else {
-        let reason = if scaling_requested {
-            "available_parallelism=1"
-        } else {
-            "not_requested"
-        };
-        let _ = write!(json, "{{\"skipped\": \"{reason}\"}},\n  \"memory\": [\n");
-    }
-    for (i, m) in mem.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"papers\":{},\"set\":\"{}\",\"container\":\"{}\",\"cardinality\":{},\"adaptive_bytes\":{},\"bitset_bytes\":{}}}{}",
-            m.papers,
-            m.name,
-            m.container,
-            m.cardinality,
-            m.adaptive_bytes,
-            m.bitset_bytes,
-            if i + 1 == mem.len() { "" } else { "," },
-        );
-    }
-    json.push_str("  ]\n}\n");
-
+    let scaling_skip = match (measure_scaling, scaling_requested) {
+        (true, _) => None,
+        (false, true) => Some("available_parallelism=1"),
+        (false, false) => Some("not_requested"),
+    };
+    let json = render_report(
+        out_path.trim_end_matches(".json"),
+        &sizes,
+        cores,
+        &rows,
+        scaling_skip,
+    );
     std::fs::write(&out_path, &json).expect("write report");
     println!("{json}");
-    for r in &rows {
-        println!(
-            "{:>18} {:<14} n={:<6} adaptive {:>10} ns  bitset {:>10} ns  hashset {:>12} ns  vs-bitset {:>6.1}x  vs-hashset {:>7.1}x",
-            r.section,
-            r.name,
-            r.papers,
-            r.adaptive_ns,
-            r.bitset_ns,
-            r.hashset_ns,
-            r.vs_bitset(),
-            r.vs_hashset(),
-        );
-    }
-    for p in &parallel {
-        println!(
-            "{:>22} threads={:<7} n={:<6} {:>10} ns  ({cores} cores available)",
-            p.section, p.threads, p.papers, p.ns
-        );
-    }
-    for c in &containers {
-        println!(
-            "{:>18} {:<8} n={:<6} sets={:<4} adaptive {:>9} B  bitset {:>9} B",
-            "containers", c.container, c.papers, c.sets, c.adaptive_bytes, c.bitset_bytes
-        );
-    }
-    for m in &multi {
-        println!(
-            "{:>18} {} sessions    n={:<6} cold {:>12} ns  shared {:>12} ns  ({:.1}x, warm build {} ns)",
-            "multi_session",
-            m.sessions,
-            m.papers,
-            m.cold_ns,
-            m.shared_ns,
-            m.cold_ns as f64 / m.shared_ns.max(1) as f64,
-            m.warm_build_ns,
-        );
-    }
-    for l in &live {
-        println!(
-            "{:>18} delta={:<6} n={:<6} changed={:<4} ingest {:>12} ns  full re-warm {:>12} ns  ({:.1}x)",
-            "live_ingest",
-            l.delta_rows,
-            l.papers,
-            l.changed_predicates,
-            l.ingest_ns,
-            l.rewarm_ns,
-            l.rewarm_ns as f64 / l.ingest_ns.max(1) as f64,
-        );
-    }
-    for b in &batched {
-        println!(
-            "{:>18} {} sessions  n={:<6} {} profiles → {} groups ({} shared)  unbatched {:>12} ns  batched {:>12} ns  ({:.1}x)",
-            "batched_serving",
-            b.sessions,
-            b.papers,
-            b.profiles,
-            b.groups,
-            b.shared,
-            b.unbatched_ns,
-            b.batched_ns,
-            b.unbatched_ns as f64 / b.batched_ns.max(1) as f64,
-        );
-    }
-    for g in &graph_rows {
-        println!(
-            "{:>18} {:<16} n={:<8} {:>12} ns  ({})",
-            "graph_workload", g.stage, g.papers, g.ns, g.detail,
-        );
-    }
-    for s in &storage_scans {
-        println!(
-            "{:>18} {:<16} n={:<8} |out|={:<7} columnar {:>12} ns  rowwise {:>12} ns  ({:.1}x)",
-            "storage_1m",
-            s.name,
-            s.papers,
-            s.rows_out,
-            s.columnar_ns,
-            s.rowwise_ns,
-            s.rowwise_ns as f64 / s.columnar_ns.max(1) as f64,
-        );
-    }
-    for s in &storage_snaps {
-        println!(
-            "{:>18} {:<16} n={:<8} sets={:<4} {:>9} B  save {:>11} ns  load {:>11} ns  re-warm {:>12} ns  ({:.1}x)",
-            "storage_1m",
-            "snapshot",
-            s.papers,
-            s.sets,
-            s.snapshot_bytes,
-            s.save_ns,
-            s.load_ns,
-            s.rewarm_ns,
-            s.rewarm_ns as f64 / s.load_ns.max(1) as f64,
-        );
-    }
-    for s in &storage_million {
-        println!(
-            "{:>18} {:<16} n={:<8} {:>12} ns  ({})",
-            "storage_1m", s.phase, s.papers, s.ns, s.detail,
-        );
-    }
-    if measure_scaling {
-        for s in &scaling {
-            println!(
-                "{:>18} {:<16} threads={:<3} n={:<6} {:>12} ns  ({:.2}x vs 1 worker, {cores} cores; tasks={} steals={} probes={})",
-                "scaling",
-                s.phase,
-                s.threads,
-                s.papers,
-                s.ns,
-                scaling_speedup(&scaling, s),
-                s.tasks,
-                s.steals,
-                s.idle_probes,
-            );
-        }
-    } else if scaling_requested {
+    print_rows(&rows);
+    if scaling_requested && !measure_scaling {
         println!(
             "{:>18} skipped: available_parallelism=1 (spawn overhead is not a scaling curve)",
             "scaling"
-        );
-    }
-    for m in &mem {
-        println!(
-            "{:>18} {:<22} n={:<6} |set|={:<6} [{:<6}] adaptive {:>8} B  bitset {:>8} B",
-            "memory",
-            m.name,
-            m.papers,
-            m.cardinality,
-            m.container,
-            m.adaptive_bytes,
-            m.bitset_bytes
         );
     }
     eprintln!("wrote {out_path}");
@@ -1373,50 +1188,51 @@ fn main() {
         println!("\n(no {baseline_path} found — skipping delta and regression guard)");
         return;
     };
-    let baseline_rows: Vec<BaselineRow> = contents.lines().filter_map(parse_result_row).collect();
-    print_delta(&baseline_path, &baseline_rows, &rows);
-    if !regression_guard(&baseline_path, &baseline_rows, &rows) {
+    let baseline_rows: Vec<ResultRow> = contents.lines().filter_map(parse_result_row).collect();
+    let current_rows: Vec<ResultRow> = json.lines().filter_map(parse_result_row).collect();
+    print_delta(&baseline_path, &baseline_rows, &current_rows);
+    if !regression_guard(&baseline_path, &baseline_rows, &current_rows) {
         std::process::exit(1);
     }
 }
 
-/// Speedup of a scaling row over the 1-worker run of the same phase and
-/// corpus size.
-fn scaling_speedup(rows: &[ScalingRow], row: &ScalingRow) -> f64 {
-    rows.iter()
-        .find(|r| r.phase == row.phase && r.papers == row.papers && r.threads == 1)
-        .map_or(1.0, |base| base.ns as f64 / row.ns.max(1) as f64)
-}
+/// One `results` row read back from a report line: `(section, name,
+/// papers, engine_ns, control_ns)`. `engine_ns` is the engine-under-test
+/// time (`adaptive_ns`, or `bitset_ns` for PR 1-era files); `control_ns`
+/// is the frozen PR 1 bitset engine's time in that same run, when the
+/// line recorded both.
+type ResultRow = (String, String, usize, u128, Option<u128>);
 
-/// One parsed baseline result row: `(section, name, papers, engine_ns,
-/// control_ns)`. `engine_ns` is the baseline's engine-under-test time
-/// (`adaptive_ns`, or `bitset_ns` for PR 1-era files); `control_ns` is
-/// the frozen PR 1 bitset engine's time in that same baseline run, when
-/// the file recorded both.
-type BaselineRow = (String, String, usize, u128, Option<u128>);
+/// The row of `rows` with this `(section, name, papers)`.
+fn find_row<'a>(
+    rows: &'a [ResultRow],
+    section: &str,
+    name: &str,
+    papers: usize,
+) -> Option<&'a ResultRow> {
+    rows.iter()
+        .find(|(s, n, p, _, _)| s == section && n == name && *p == papers)
+}
 
 /// Prints a side-by-side delta of this run against the baseline report:
 /// for every `(section, name, papers)` row the baseline measured,
 /// compare its engine time with today's adaptive engine.
-fn print_delta(baseline_path: &str, baseline_rows: &[BaselineRow], rows: &[Row]) {
+fn print_delta(baseline_path: &str, baseline_rows: &[ResultRow], current: &[ResultRow]) {
     println!("\n== delta vs {baseline_path} (baseline engine → this run's adaptive engine) ==");
     let mut matched = 0usize;
     for (section, name, papers, base_ns, _) in baseline_rows {
-        let Some(row) = rows
-            .iter()
-            .find(|r| r.section == section && r.name == *name && r.papers == *papers)
-        else {
+        let Some((_, _, _, now_ns, _)) = find_row(current, section, name, *papers) else {
             continue;
         };
         matched += 1;
-        let ratio = *base_ns as f64 / row.adaptive_ns.max(1) as f64;
+        let ratio = *base_ns as f64 / (*now_ns).max(1) as f64;
         println!(
             "{:>16} {:<14} n={:<6} base {:>12} ns → now {:>12} ns  ({:>5.2}x {})",
             section,
             name,
             papers,
             base_ns,
-            row.adaptive_ns,
+            now_ns,
             if ratio >= 1.0 { ratio } else { 1.0 / ratio },
             if ratio >= 1.0 { "faster" } else { "slower" },
         );
@@ -1442,7 +1258,11 @@ fn print_delta(baseline_path: &str, baseline_rows: &[BaselineRow], rows: &[Row])
 /// wall-clock comparison would misreport as a code regression. For
 /// PR 1-era baselines without a recorded control, raw wall-clock is the
 /// fallback.
-fn regression_guard(baseline_path: &str, baseline_rows: &[BaselineRow], rows: &[Row]) -> bool {
+fn regression_guard(
+    baseline_path: &str,
+    baseline_rows: &[ResultRow],
+    current: &[ResultRow],
+) -> bool {
     println!(
         "\n== regression guard vs {baseline_path} (headline rows, {:.0}% budget, \
          control-normalised where possible) ==",
@@ -1451,7 +1271,8 @@ fn regression_guard(baseline_path: &str, baseline_rows: &[BaselineRow], rows: &[
     // A partial run (BENCH_SIZES override) only guards the sizes it
     // measured; within a measured size, every baseline headline row
     // must match.
-    let measured_sizes: std::collections::HashSet<usize> = rows.iter().map(|r| r.papers).collect();
+    let measured_sizes: std::collections::HashSet<usize> =
+        current.iter().map(|(_, _, papers, _, _)| *papers).collect();
     let mut checked = 0usize;
     let mut ok = true;
     for (section, name, papers, base_ns, base_control_ns) in baseline_rows {
@@ -1459,9 +1280,7 @@ fn regression_guard(baseline_path: &str, baseline_rows: &[BaselineRow], rows: &[
             continue;
         }
         checked += 1;
-        let Some(row) = rows
-            .iter()
-            .find(|r| r.section == section && r.name == *name && r.papers == *papers)
+        let Some((_, _, _, now_ns, now_control_ns)) = find_row(current, section, name, *papers)
         else {
             println!(
                 "  MISS {:<16} {:<14} n={:<6} baseline row has no counterpart in this run",
@@ -1470,10 +1289,10 @@ fn regression_guard(baseline_path: &str, baseline_rows: &[BaselineRow], rows: &[
             ok = false;
             continue;
         };
-        let raw = row.adaptive_ns.max(1) as f64 / (*base_ns).max(1) as f64;
-        let (ratio, how) = match base_control_ns {
-            Some(control) if *control > 0 && row.bitset_ns > 0 => {
-                let current = row.adaptive_ns.max(1) as f64 / row.bitset_ns as f64;
+        let raw = (*now_ns).max(1) as f64 / (*base_ns).max(1) as f64;
+        let (ratio, how) = match (base_control_ns, now_control_ns) {
+            (Some(control), Some(now_control)) if *control > 0 && *now_control > 0 => {
+                let current = (*now_ns).max(1) as f64 / *now_control as f64;
                 let baseline = (*base_ns).max(1) as f64 / *control as f64;
                 (current / baseline, "vs-control")
             }
@@ -1486,7 +1305,7 @@ fn regression_guard(baseline_path: &str, baseline_rows: &[BaselineRow], rows: &[
             section,
             name,
             papers,
-            row.adaptive_ns,
+            now_ns,
             base_ns,
             ratio,
             raw,
@@ -1503,13 +1322,13 @@ fn regression_guard(baseline_path: &str, baseline_rows: &[BaselineRow], rows: &[
     ok
 }
 
-/// Extracts one [`BaselineRow`] from a baseline result line — a flat
-/// JSON object per line, parsed without a JSON dependency. The engine
-/// time is `adaptive_ns` (PR 2+ reports), falling back to `bitset_ns`
-/// for PR 1-era files; the control time is `bitset_ns` only when the
-/// line records it *alongside* `adaptive_ns` (in a PR 1 file `bitset_ns`
-/// *is* the engine, not a control).
-fn parse_result_row(line: &str) -> Option<BaselineRow> {
+/// Extracts one [`ResultRow`] from a report line — a flat JSON object
+/// per line, parsed without a JSON dependency; rows without a `name`
+/// give `None`. The engine time is `adaptive_ns` (PR 2+ reports),
+/// falling back to `bitset_ns` for PR 1-era files; the control time is
+/// `bitset_ns` only when the line records it *alongside* `adaptive_ns`
+/// (in a PR 1 file `bitset_ns` *is* the engine, not a control).
+fn parse_result_row(line: &str) -> Option<ResultRow> {
     let section = json_str_field(line, "section")?;
     let name = json_str_field(line, "name")?;
     let papers = json_num_field(line, "papers")?;
@@ -1535,4 +1354,130 @@ fn json_num_field(line: &str, key: &str) -> Option<u128> {
         .take_while(|c| c.is_ascii_digit())
         .collect();
     digits.parse().ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Headline and storage lines as `BENCH_PR9.json` records them.
+    const PR9_HEADLINE: &str = r#"    {"section":"peps_top_k","name":"complete_k10","papers":2000,"adaptive_ns":78956,"bitset_ns":189769,"hashset_ns":1347256,"vs_bitset":2.40,"vs_hashset":17.06},"#;
+    const PR9_STORAGE: &str = r#"    {"section":"storage_1m","kind":"distinct_row_set","query":"scan_or_filter","papers":2000,"rows_out":1081,"columnar_ns":46809,"rowwise_ns":330275,"speedup":7.06},"#;
+    /// A PR 1-era line: the bitset engine *was* the engine under test.
+    const PR1_HEADLINE: &str = r#"    {"section":"peps_top_k","name":"complete_k10","papers":2000,"bitset_ns":189104,"hashset_ns":1357479,"speedup":7.18},"#;
+    /// A baseline headline line with engine 100 µs against a 50 µs control.
+    const BASE_WARM: &str = r#"{"section":"pairwise_build","name":"warm","papers":2000,"adaptive_ns":100000,"bitset_ns":50000,"hashset_ns":900000}"#;
+    const BASE_K10: &str = r#"{"section":"peps_top_k","name":"complete_k10","papers":2000,"adaptive_ns":80000,"bitset_ns":160000,"hashset_ns":900000}"#;
+
+    /// A `results` row of the current run.
+    fn run_row(
+        section: &'static str,
+        name: &str,
+        papers: usize,
+        adaptive_ns: u128,
+        bitset_ns: u128,
+    ) -> Row {
+        results_row(section, name, papers, adaptive_ns, bitset_ns, 0)
+    }
+
+    /// The report line the writer emits for `row`.
+    fn written(row: &Row) -> String {
+        row.json()
+    }
+
+    /// Runs the guard of `current` against the `baseline` report lines.
+    fn guard(baseline: &[&str], current: &[Row]) -> bool {
+        let base: Vec<ResultRow> = baseline
+            .iter()
+            .filter_map(|l| parse_result_row(l))
+            .collect();
+        let current: Vec<ResultRow> = current
+            .iter()
+            .filter_map(|r| parse_result_row(&r.json()))
+            .collect();
+        regression_guard("baseline.json", &base, &current)
+    }
+
+    #[test]
+    fn parse_reads_a_headline_line() {
+        assert_eq!(
+            parse_result_row(PR9_HEADLINE),
+            Some((
+                "peps_top_k".to_owned(),
+                "complete_k10".to_owned(),
+                2000,
+                78956,
+                Some(189769)
+            ))
+        );
+    }
+
+    #[test]
+    fn parse_takes_a_pr1_bitset_time_as_the_engine_with_no_control() {
+        assert_eq!(
+            parse_result_row(PR1_HEADLINE),
+            Some((
+                "peps_top_k".to_owned(),
+                "complete_k10".to_owned(),
+                2000,
+                189104,
+                None
+            ))
+        );
+    }
+
+    #[test]
+    fn parse_skips_rows_without_a_name() {
+        assert_eq!(parse_result_row(PR9_STORAGE), None);
+    }
+
+    #[test]
+    fn guard_passes_a_raw_slowdown_the_control_explains() {
+        // 1.8x slower raw, but the control slowed 1.5x: 1.2x normalised.
+        let current = [
+            run_row("pairwise_build", "warm", 2000, 180_000, 75_000),
+            run_row("peps_top_k", "complete_k10", 2000, 80_000, 160_000),
+        ];
+        assert!(guard(&[BASE_WARM, BASE_K10, PR9_STORAGE], &current));
+    }
+
+    #[test]
+    fn guard_fails_past_the_budget() {
+        // Same control, engine 1.3x slower.
+        let current = [
+            run_row("pairwise_build", "warm", 2000, 130_000, 50_000),
+            run_row("peps_top_k", "complete_k10", 2000, 80_000, 160_000),
+        ];
+        assert!(!guard(&[BASE_WARM, BASE_K10], &current));
+    }
+
+    #[test]
+    fn guard_fails_on_a_missing_headline_row() {
+        let current = [run_row("pairwise_build", "warm", 2000, 100_000, 50_000)];
+        assert!(!guard(&[BASE_WARM, BASE_K10], &current));
+    }
+
+    #[test]
+    fn guard_falls_back_to_raw_time_without_a_control() {
+        // A tiny current control would pass any ratio if it were used.
+        let within = [run_row("peps_top_k", "complete_k10", 2000, 200_000, 1)];
+        assert!(guard(&[PR1_HEADLINE], &within));
+        let past = [run_row("peps_top_k", "complete_k10", 2000, 250_000, 1)];
+        assert!(!guard(&[PR1_HEADLINE], &past));
+    }
+
+    #[test]
+    fn a_written_headline_row_reads_back() {
+        let row = run_row("peps_top_k", "sparse_k10", 20000, 65404, 210628);
+        assert_eq!(
+            parse_result_row(&written(&row)),
+            Some((
+                "peps_top_k".to_owned(),
+                "sparse_k10".to_owned(),
+                20000,
+                65404,
+                Some(210628)
+            ))
+        );
+    }
 }

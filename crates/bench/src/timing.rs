@@ -1,6 +1,5 @@
 //! Minimal wall-clock measurement helpers shared by the `experiments`
-//! and `bench_report` binaries (which cannot use the dev-only criterion
-//! harness).
+//! and `bench_report` binaries.
 
 use std::time::{Duration, Instant};
 

@@ -180,14 +180,15 @@ impl BaseQuery {
     }
 
     /// Builds the executable query for a filter, joining only the tables
-    /// the filter references. In the DBLP workload every paper has at
-    /// least one author row, so dropping an unreferenced join leaves
-    /// `COUNT(DISTINCT pid)` unchanged while skipping the join work.
+    /// the filter references plus the table that holds `key`. In the DBLP
+    /// workload every paper has at least one author row, so dropping an
+    /// unreferenced join leaves `COUNT(DISTINCT pid)` unchanged while
+    /// skipping the join work.
     pub fn select_for(&self, filter: &Predicate) -> SelectQuery {
         let referenced = filter.tables();
         let mut q = SelectQuery::from(self.table.clone());
         for (table, left, right) in &self.joins {
-            if referenced.contains(table) {
+            if referenced.contains(table) || self.key.table.as_ref() == Some(table) {
                 q = q.join(table.clone(), left.clone(), right.clone());
             }
         }
@@ -1673,6 +1674,12 @@ mod tests {
         assert_eq!(base.select_for(&venue_only).tables().len(), 1);
         let with_author = p("dblp_author.aid=10");
         assert_eq!(base.select_for(&with_author).tables().len(), 2);
+        let keyed_on_author = BaseQuery::single("dblp", ColRef::parse("dblp_author.aid")).join(
+            "dblp_author",
+            ColRef::parse("dblp.pid"),
+            ColRef::parse("dblp_author.pid"),
+        );
+        assert_eq!(keyed_on_author.select_for(&venue_only).tables().len(), 2);
         let exec = Executor::new(&db, base);
         assert_eq!(exec.count(&venue_only).unwrap(), 2);
         assert_eq!(exec.count(&with_author).unwrap(), 2);
@@ -2120,8 +2127,8 @@ mod tests {
             ColRef::parse("dblp_author.pid"),
         );
         let base_db = db();
-        let vldb = p("dblp.venue='VLDB' AND dblp_author.aid>0");
-        let pods = p("dblp.venue='PODS' AND dblp_author.aid>0");
+        let vldb = p("dblp.venue='VLDB'");
+        let pods = p("dblp.venue='PODS'");
         let late = p("dblp_author.pid>=3");
         let preds = [&vldb, &pods, &late];
         let cache = ProfileCache::warm(&base_db, base.clone(), preds).unwrap();
