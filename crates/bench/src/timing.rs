@@ -35,11 +35,6 @@ pub fn median_time<R>(
     times[times.len() / 2]
 }
 
-/// `median_time` with the default 100 ms calibration budget and 5 samples.
-pub fn quick_median<R>(routine: impl FnMut() -> R) -> Duration {
-    median_time(5, Duration::from_millis(100), routine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

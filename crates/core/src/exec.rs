@@ -81,7 +81,9 @@
 //!   the snapshot has not seen fall through to the session's private
 //!   memo and intern *new* ids in a local overlay **above** the frozen
 //!   snapshot ids — base ids stay stable, so tuple sets from the
-//!   snapshot and session-local sets share one id space. Writes happen
+//!   snapshot and session-local sets share one id space. A cold
+//!   [`Executor::new`] is the same kind of session, over an empty
+//!   snapshot. Writes happen
 //!   only during the build phase (warm an executor, then
 //!   [`ProfileCache::snapshot`]); reads are immutable thereafter, which
 //!   is the whole thread-safety contract: share `Arc<ProfileCache>`
@@ -97,8 +99,8 @@
 //! epoch** (an epoch number plus an `Arc<ProfileCache>`):
 //!
 //! 1. **Open** — a session ([`EpochSession::open`]) *pins* the current
-//!    epoch; the pin is a counted guard ([`EpochPin`]) that keeps the
-//!    epoch's snapshot alive however many publishes happen later.
+//!    epoch by holding its `Arc<Epoch>`, which keeps the epoch's snapshot
+//!    alive however many publishes happen later.
 //! 2. **Serve** — the session opens executors over its pinned snapshot
 //!    with [`Executor::with_cache_pinned`], which tolerates append-only
 //!    growth of the underlying tables: cached predicates answer exactly
@@ -111,10 +113,12 @@
 //!    old-epoch sessions keep answering throughout.
 //! 4. **Drain** — at its next `top_k` boundary a session calls
 //!    [`EpochSession::drain`], atomically re-pinning to the newest
-//!    epoch. [`PairwiseCache::refresh_for`] then re-scores only the
-//!    pairs whose atoms gained tuples ([`DeltaReport::changed_flags`]).
-//! 5. **Evict** — a retired epoch is dropped once its pin count reaches
-//!    zero (lazily, on the next `EpochCache` access).
+//!    epoch. A caller holding a pairwise table can re-score only the
+//!    pairs whose atoms gained tuples ([`PairwiseCache::refresh_for`]
+//!    with [`DeltaReport::changed_flags`]).
+//! 5. **Evict** — a retired epoch, snapshot and all, is freed the moment
+//!    its last pin drops; the cache keeps only a `Weak` to it, which is
+//!    enough to count retired and evicted epochs.
 //!
 //! **Failure atomicity:** warm-up and ingest build a complete new
 //! snapshot *before* anything is published — a mid-build failure (SQL
@@ -130,8 +134,7 @@
 
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 use relstore::{ColRef, Database, Predicate, SelectQuery, Value};
 
@@ -297,23 +300,25 @@ impl TupleInterner {
 
     /// The interner a [`ProfileCache`] freezes: the base `Arc` itself
     /// when the overlay is empty, a flat, self-contained copy (base and
-    /// overlay merged) otherwise.
+    /// overlay merged) otherwise. Over an empty base the overlay already
+    /// holds every id, so the copy is a plain clone with no rehashing.
     fn frozen(&self) -> Arc<TupleInterner> {
-        match &self.base {
-            None => Arc::new(self.clone()),
-            Some(base) if self.values.is_empty() => Arc::clone(base),
-            Some(base) => {
+        let (ids, values) = match &self.base {
+            Some(base) if self.values.is_empty() => return Arc::clone(base),
+            Some(base) if !base.is_empty() => {
                 let mut ids = base.ids.clone();
                 ids.extend(self.ids.iter().map(|(v, &id)| (v.clone(), id)));
                 let mut values = base.values.clone();
                 values.extend(self.values.iter().cloned());
-                Arc::new(TupleInterner {
-                    base: None,
-                    ids,
-                    values,
-                })
+                (ids, values)
             }
-        }
+            _ => (self.ids.clone(), self.values.clone()),
+        };
+        Arc::new(TupleInterner {
+            base: None,
+            ids,
+            values,
+        })
     }
 }
 
@@ -367,15 +372,14 @@ impl Parallelism {
 /// compared by how many real queries they issue).
 ///
 /// An executor is a **session**: single-threaded by construction
-/// (interior mutability in its memo tables), optionally reading through
-/// a shared [`ProfileCache`] snapshot and optionally fanning the
-/// pairwise build out to [`Parallelism`] workers.
+/// (interior mutability in its memo tables), reading through a shared
+/// [`ProfileCache`] snapshot (an empty one for a cold executor) and
+/// optionally fanning the pairwise build out to [`Parallelism`] workers.
 pub struct Executor<'db> {
     db: &'db Database,
-    base: BaseQuery,
+    cache: Arc<ProfileCache>,
     interner: RefCell<TupleInterner>,
     atom_cache: RefCell<HashMap<String, (Predicate, SharedTupleSet)>>,
-    shared: Option<Arc<ProfileCache>>,
     parallelism: Cell<Parallelism>,
     queries_run: Cell<usize>,
     cache_hits: Cell<usize>,
@@ -385,21 +389,17 @@ pub struct Executor<'db> {
 impl<'db> Executor<'db> {
     /// Creates an executor over a database and base query.
     pub fn new(db: &'db Database, base: BaseQuery) -> Self {
-        Executor::from_parts(db, base, TupleInterner::default(), None)
+        Executor::from_parts(db, Arc::new(ProfileCache::empty(db, base)))
     }
 
-    fn from_parts(
-        db: &'db Database,
-        base: BaseQuery,
-        interner: TupleInterner,
-        shared: Option<Arc<ProfileCache>>,
-    ) -> Self {
+    /// A session over `cache`: the base query comes from the cache and
+    /// new ids intern above its frozen id space.
+    fn from_parts(db: &'db Database, cache: Arc<ProfileCache>) -> Self {
         Executor {
             db,
-            base,
-            interner: RefCell::new(interner),
+            interner: RefCell::new(TupleInterner::layered(Arc::clone(&cache.interner))),
             atom_cache: RefCell::new(HashMap::new()),
-            shared,
+            cache,
             parallelism: Cell::new(Parallelism::Sequential),
             queries_run: Cell::new(0),
             cache_hits: Cell::new(0),
@@ -449,13 +449,7 @@ impl<'db> Executor<'db> {
         allow_growth: bool,
     ) -> Result<Self> {
         cache.check_corpus(db, allow_growth)?;
-        let interner = TupleInterner::layered(Arc::clone(&cache.interner));
-        Ok(Executor::from_parts(
-            db,
-            cache.base.clone(),
-            interner,
-            Some(cache),
-        ))
+        Ok(Executor::from_parts(db, cache))
     }
 
     /// Sets the parallelism knob (builder form).
@@ -476,7 +470,7 @@ impl<'db> Executor<'db> {
 
     /// The base query.
     pub fn base(&self) -> &BaseQuery {
-        &self.base
+        &self.cache.base
     }
 
     /// The database.
@@ -527,16 +521,14 @@ impl<'db> Executor<'db> {
 
     /// The tuple set matched by one preference predicate, memoised on the
     /// predicate's canonical text. One SQL query per distinct predicate,
-    /// ever — and zero for predicates a shared [`ProfileCache`] snapshot
+    /// ever — and zero for predicates the [`ProfileCache`] snapshot
     /// already materialised (those resolve lock-free, without touching
     /// the session's own memo).
     pub fn tuple_set(&self, unit: &Predicate) -> Result<SharedTupleSet> {
         let key = unit.canonical();
-        if let Some(cache) = &self.shared {
-            if let Some(set) = cache.get(&key) {
-                self.shared_hits.set(self.shared_hits.get() + 1);
-                return Ok(set);
-            }
+        if let Some(set) = self.cache.get(&key) {
+            self.shared_hits.set(self.shared_hits.get() + 1);
+            return Ok(set);
         }
         if let Some((_, set)) = self.atom_cache.borrow().get(&key) {
             self.cache_hits.set(self.cache_hits.get() + 1);
@@ -554,15 +546,16 @@ impl<'db> Executor<'db> {
     /// are collected first and handed to [`TupleSet::from_unsorted`], which
     /// sorts once and picks the right container for the final cardinality.
     fn run_and_intern(&self, unit: &Predicate) -> Result<TupleSet> {
-        let q = self.base.select_for(unit);
+        let base = &self.cache.base;
+        let q = base.select_for(unit);
         let mut ids: Vec<u32> = Vec::new();
-        if self.base.key_on_driver() {
+        if base.key_on_driver() {
             // Fast path: distinct driving rows (no Value hashed or cloned
             // per joined row), then one interner probe per distinct row —
             // fed straight from the driver's typed key segment, so no row
             // is ever materialised.
-            let driver = self.db.table(&self.base.table)?;
-            if let Some(key_idx) = driver.schema().index_of(&self.base.key.column) {
+            let driver = self.db.table(&base.table)?;
+            if let Some(key_idx) = driver.schema().index_of(&base.key.column) {
                 let rids = q.distinct_row_set(self.db)?;
                 let mut interner = self.interner.borrow_mut();
                 if let Some(vals) = driver.int_values(key_idx) {
@@ -608,7 +601,7 @@ impl<'db> Executor<'db> {
         // General path: the key lives on a joined table; fall back to
         // value-level deduplication.
         let mut interner = self.interner.borrow_mut();
-        for v in q.distinct_values(self.db, &self.base.key)? {
+        for v in q.distinct_values(self.db, &base.key)? {
             ids.push(interner.intern(&v)?);
         }
         Ok(TupleSet::from_unsorted(ids))
@@ -747,11 +740,9 @@ impl<'db> Executor<'db> {
 pub struct ProfileCache {
     base: BaseQuery,
     interner: Arc<TupleInterner>,
-    sets: HashMap<String, SharedTupleSet>,
-    /// The predicate AST behind every materialised set (same keys as
-    /// `sets`) — what delta ingest re-runs without re-parsing canonical
-    /// text.
-    preds: HashMap<String, Predicate>,
+    /// Canonical predicate text → the predicate AST (what delta ingest
+    /// re-runs without re-parsing) and its materialised tuple set.
+    sets: HashMap<String, (Predicate, SharedTupleSet)>,
     /// Row counts of the base query's tables at snapshot time — the
     /// cheap corpus identity [`Executor::with_cache`] checks so a
     /// snapshot is never silently served against a different database.
@@ -774,22 +765,24 @@ impl ProfileCache {
     /// local memo) *and* the snapshot it reads through into one flat
     /// base, so caches compose incrementally.
     pub fn snapshot(exec: &Executor<'_>) -> Self {
-        let interner = exec.interner.borrow().frozen();
-        let (mut sets, mut preds) = exec
-            .shared
-            .as_ref()
-            .map(|c| (c.sets.clone(), c.preds.clone()))
-            .unwrap_or_default();
-        for (key, (pred, set)) in exec.atom_cache.borrow().iter() {
-            sets.insert(key.clone(), Arc::clone(set));
-            preds.insert(key.clone(), pred.clone());
-        }
+        let mut sets = exec.cache.sets.clone();
+        sets.extend(exec.atom_cache.borrow().clone());
         ProfileCache {
-            base: exec.base.clone(),
-            interner,
+            base: exec.cache.base.clone(),
+            interner: exec.interner.borrow().frozen(),
             sets,
-            preds,
-            fingerprint: corpus_fingerprint(exec.db, &exec.base),
+            fingerprint: corpus_fingerprint(exec.db, &exec.cache.base),
+        }
+    }
+
+    /// The snapshot a cold executor reads through: no sets and an empty
+    /// interner, pinned to `db`'s current row counts.
+    fn empty(db: &Database, base: BaseQuery) -> Self {
+        ProfileCache {
+            fingerprint: corpus_fingerprint(db, &base),
+            base,
+            interner: Arc::default(),
+            sets: HashMap::new(),
         }
     }
 
@@ -815,7 +808,7 @@ impl ProfileCache {
     /// The materialised tuple set for a canonical predicate key, if the
     /// snapshot holds it.
     pub fn get(&self, canonical: &str) -> Option<SharedTupleSet> {
-        self.sets.get(canonical).map(Arc::clone)
+        self.sets.get(canonical).map(|(_, set)| Arc::clone(set))
     }
 
     /// Whether the snapshot holds a predicate (by canonical text).
@@ -838,14 +831,6 @@ impl ProfileCache {
         self.interner.len()
     }
 
-    /// The predicates behind the materialised sets, in canonical-key
-    /// order (deterministic).
-    pub fn predicates(&self) -> Vec<&Predicate> {
-        let mut keys: Vec<&String> = self.preds.keys().collect();
-        keys.sort();
-        keys.into_iter().filter_map(|k| self.preds.get(k)).collect()
-    }
-
     /// [`ProfileCache::warm`] with a bounded retry budget: up to
     /// `retries` extra attempts after the first failure. Each attempt
     /// builds a completely fresh snapshot, so a mid-warm failure (e.g. an
@@ -862,20 +847,9 @@ impl ProfileCache {
         retries: usize,
     ) -> Result<Self> {
         let preds: Vec<&Predicate> = predicates.into_iter().collect();
-        let mut attempts = 0usize;
-        loop {
-            attempts += 1;
-            match ProfileCache::warm(db, base.clone(), preds.iter().copied()) {
-                Ok(cache) => return Ok(cache),
-                Err(e) if attempts > retries => {
-                    return Err(HypreError::WarmUpFailed {
-                        attempts,
-                        last: Box::new(e),
-                    });
-                }
-                Err(_) => {}
-            }
-        }
+        with_retries(retries, || {
+            ProfileCache::warm(db, base.clone(), preds.iter().copied())
+        })
     }
 
     /// Absorbs an *append-only* corpus delta into a new snapshot: every
@@ -911,16 +885,18 @@ impl ProfileCache {
             return Ok((self.clone(), DeltaReport::default()));
         }
 
-        let interner = TupleInterner::layered(Arc::clone(&self.interner));
-        let exec = Executor::from_parts(db, self.base.clone(), interner, None);
-        let mut sets: HashMap<String, SharedTupleSet> = HashMap::with_capacity(self.sets.len());
+        let exec = Executor::from_parts(
+            db,
+            Arc::new(ProfileCache {
+                base: self.base.clone(),
+                interner: Arc::clone(&self.interner),
+                sets: HashMap::new(),
+                fingerprint: current.clone(),
+            }),
+        );
+        let mut sets = HashMap::with_capacity(self.sets.len());
         let mut changed: Vec<String> = Vec::new();
-        let mut keys: Vec<&String> = self.preds.keys().collect();
-        keys.sort();
-        for key in keys {
-            let (Some(pred), Some(old_set)) = (self.preds.get(key), self.sets.get(key)) else {
-                unreachable!("preds and sets share keys");
-            };
+        for (key, (pred, old_set)) in self.sorted_sets() {
             let set = exec.run_and_intern(pred)?;
             let set = if set == **old_set {
                 Arc::clone(old_set)
@@ -928,7 +904,7 @@ impl ProfileCache {
                 changed.push(key.clone());
                 Arc::new(set)
             };
-            sets.insert(key.clone(), set);
+            sets.insert(key.clone(), (pred.clone(), set));
         }
         let interner = exec.interner.borrow().frozen();
         let new_tuples = interner.len() - self.interner.len();
@@ -937,7 +913,6 @@ impl ProfileCache {
                 base: self.base.clone(),
                 interner,
                 sets,
-                preds: self.preds.clone(),
                 fingerprint: current,
             },
             DeltaReport {
@@ -946,6 +921,13 @@ impl ProfileCache {
                 new_tuples,
             },
         ))
+    }
+
+    /// The materialised sets in canonical-key order (deterministic).
+    fn sorted_sets(&self) -> Vec<(&String, &(Predicate, SharedTupleSet))> {
+        let mut entries: Vec<_> = self.sets.iter().collect();
+        entries.sort_unstable_by_key(|&(key, _)| key);
+        entries
     }
 
     /// The base-query tables' row counts in `db`, checked against the
@@ -1010,14 +992,13 @@ impl DeltaReport {
     }
 }
 
-/// An epoch: one published [`ProfileCache`] snapshot plus the count of
-/// sessions still pinned to it. Epoch numbers start at 1 and increase by
-/// one per publish.
+/// An epoch: one published [`ProfileCache`] snapshot. Epoch numbers start
+/// at 1 and increase by one per publish. Holding the `Arc<Epoch>` pins it:
+/// the epoch and its snapshot are freed when the last holder drops.
 #[derive(Debug)]
 pub struct Epoch {
     number: u64,
     cache: Arc<ProfileCache>,
-    pins: AtomicUsize,
 }
 
 impl Epoch {
@@ -1029,11 +1010,6 @@ impl Epoch {
     /// The snapshot this epoch serves.
     pub fn cache(&self) -> &Arc<ProfileCache> {
         &self.cache
-    }
-
-    /// Sessions currently pinned to this epoch.
-    pub fn pin_count(&self) -> usize {
-        self.pins.load(Ordering::Acquire)
     }
 }
 
@@ -1049,7 +1025,9 @@ pub struct EpochCache {
 #[derive(Debug)]
 struct EpochState {
     current: Arc<Epoch>,
-    retired: Vec<Arc<Epoch>>,
+    /// Retired epochs, weakly: a retired epoch lives exactly as long as
+    /// the sessions pinning it, and a dead entry counts as evicted.
+    retired: Vec<Weak<Epoch>>,
     evicted: u64,
 }
 
@@ -1061,7 +1039,6 @@ impl EpochCache {
                 current: Arc::new(Epoch {
                     number: 1,
                     cache: Arc::new(cache),
-                    pins: AtomicUsize::new(0),
                 }),
                 retired: Vec::new(),
                 evicted: 0,
@@ -1070,33 +1047,24 @@ impl EpochCache {
     }
 
     /// Locks the state, recovering from a poisoned mutex (the state is
-    /// swap-only, never left half-written).
+    /// swap-only, never left half-written), and moves retired epochs
+    /// whose last pin dropped from `retired` to the `evicted` count.
     fn lock(&self) -> MutexGuard<'_, EpochState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let before = st.retired.len();
+        st.retired.retain(|e| e.strong_count() > 0);
+        st.evicted += (before - st.retired.len()) as u64;
+        st
     }
 
-    /// The current epoch (unpinned peek — for a serving handle use
-    /// [`EpochCache::pin`]).
+    /// The current epoch; holding the returned `Arc` pins it.
     pub fn current(&self) -> Arc<Epoch> {
-        let mut st = self.lock();
-        evict_unpinned(&mut st);
-        Arc::clone(&st.current)
+        Arc::clone(&self.lock().current)
     }
 
     /// The current epoch number.
     pub fn current_epoch(&self) -> u64 {
         self.lock().current.number
-    }
-
-    /// Pins the current epoch: the returned guard keeps its snapshot
-    /// alive (never evicted) until dropped.
-    pub fn pin(&self) -> EpochPin {
-        let mut st = self.lock();
-        evict_unpinned(&mut st);
-        st.current.pins.fetch_add(1, Ordering::AcqRel);
-        EpochPin {
-            epoch: Arc::clone(&st.current),
-        }
     }
 
     /// Publishes a fully-built snapshot as the new current epoch,
@@ -1109,11 +1077,9 @@ impl EpochCache {
         let next = Arc::new(Epoch {
             number,
             cache: Arc::new(cache),
-            pins: AtomicUsize::new(0),
         });
         let old = std::mem::replace(&mut st.current, next);
-        st.retired.push(old);
-        evict_unpinned(&mut st);
+        st.retired.push(Arc::downgrade(&old));
         number
     }
 
@@ -1128,63 +1094,66 @@ impl EpochCache {
     /// [`HypreError::WarmUpFailed`] wrapping the final attempt's error
     /// once the budget (first try + `retries`) is exhausted.
     pub fn ingest(&self, db: &Database, retries: usize) -> Result<DeltaReport> {
-        let snapshot = { Arc::clone(&self.lock().current) };
-        let mut attempts = 0usize;
-        loop {
-            attempts += 1;
-            match snapshot.cache.ingest_delta(db) {
-                Ok((cache, report)) => {
-                    if !report.is_noop() {
-                        self.publish(cache);
-                    }
-                    return Ok(report);
-                }
-                Err(e) if attempts > retries => {
-                    return Err(HypreError::WarmUpFailed {
-                        attempts,
-                        last: Box::new(e),
-                    });
-                }
-                Err(_) => {}
+        let snapshot = self.current();
+        let (cache, report) = with_retries(retries, || snapshot.cache.ingest_delta(db))?;
+        if !report.is_noop() {
+            self.publish(cache);
+        }
+        Ok(report)
+    }
+
+    /// Retired epochs still held by pinned sessions.
+    pub fn retired_count(&self) -> usize {
+        self.lock().retired.len()
+    }
+
+    /// Retired epochs freed so far (their last pin dropped).
+    pub fn evicted_count(&self) -> u64 {
+        self.lock().evicted
+    }
+}
+
+/// Runs `attempt` up to `retries` extra times after the first failure.
+/// Attempts are whole: each builds its result from scratch.
+///
+/// # Errors
+/// [`HypreError::WarmUpFailed`] wrapping the final attempt's error once
+/// the budget is exhausted.
+fn with_retries<T>(retries: usize, mut attempt: impl FnMut() -> Result<T>) -> Result<T> {
+    let mut attempts = 0usize;
+    loop {
+        attempts += 1;
+        match attempt() {
+            Ok(value) => return Ok(value),
+            Err(e) if attempts > retries => {
+                return Err(HypreError::WarmUpFailed {
+                    attempts,
+                    last: Box::new(e),
+                });
             }
+            Err(_) => {}
         }
     }
-
-    /// Retired epochs still held for pinned sessions (after evicting the
-    /// unpinned ones).
-    pub fn retired_count(&self) -> usize {
-        let mut st = self.lock();
-        evict_unpinned(&mut st);
-        st.retired.len()
-    }
-
-    /// Retired epochs evicted so far (pin count reached zero).
-    pub fn evicted_count(&self) -> u64 {
-        let mut st = self.lock();
-        evict_unpinned(&mut st);
-        st.evicted
-    }
 }
 
-/// Drops retired epochs whose pin count reached zero. Eviction is lazy:
-/// it runs on every state access rather than from `EpochPin::drop`
-/// (which cannot reach the cache), so a retired epoch lingers at most
-/// until the next `EpochCache` call after its last unpin.
-fn evict_unpinned(st: &mut EpochState) {
-    let before = st.retired.len();
-    st.retired.retain(|e| e.pins.load(Ordering::Acquire) > 0);
-    st.evicted += (before - st.retired.len()) as u64;
-}
-
-/// A pin on one epoch: keeps the snapshot alive and opens executors over
-/// it. Dropping the pin releases the epoch for eviction.
+/// A serving session in the epoch lifecycle: pins the epoch it opened
+/// on, answers from it for as long as it likes, and drains onto the
+/// newest epoch at a query boundary of its choosing (conventionally
+/// after a `top_k` completes).
 #[derive(Debug)]
-pub struct EpochPin {
+pub struct EpochSession {
     epoch: Arc<Epoch>,
 }
 
-impl EpochPin {
-    /// The pinned epoch number.
+impl EpochSession {
+    /// Opens a session pinned to the current epoch.
+    pub fn open(epochs: &EpochCache) -> Self {
+        EpochSession {
+            epoch: epochs.current(),
+        }
+    }
+
+    /// The epoch this session is pinned to.
     pub fn epoch(&self) -> u64 {
         self.epoch.number
     }
@@ -1203,57 +1172,18 @@ impl EpochPin {
     pub fn executor<'db>(&self, db: &'db Database) -> Result<Executor<'db>> {
         Executor::with_cache_pinned(db, self.cache())
     }
-}
-
-impl Drop for EpochPin {
-    fn drop(&mut self) {
-        self.epoch.pins.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// A serving session in the epoch lifecycle: pins the epoch it opened
-/// on, answers from it for as long as it likes, and drains onto the
-/// newest epoch at a query boundary of its choosing (conventionally
-/// after a `top_k` completes).
-#[derive(Debug)]
-pub struct EpochSession {
-    pin: EpochPin,
-}
-
-impl EpochSession {
-    /// Opens a session pinned to the current epoch.
-    pub fn open(epochs: &EpochCache) -> Self {
-        EpochSession { pin: epochs.pin() }
-    }
-
-    /// The epoch this session is pinned to.
-    pub fn epoch(&self) -> u64 {
-        self.pin.epoch()
-    }
-
-    /// The pinned snapshot.
-    pub fn cache(&self) -> Arc<ProfileCache> {
-        self.pin.cache()
-    }
-
-    /// Opens an executor over the pinned snapshot (see
-    /// [`EpochPin::executor`]).
-    ///
-    /// # Errors
-    /// [`HypreError::StaleSnapshot`] if `db` diverged non-monotonically.
-    pub fn executor<'db>(&self, db: &'db Database) -> Result<Executor<'db>> {
-        self.pin.executor(db)
-    }
 
     /// Re-pins to the newest epoch if one was published since this
     /// session pinned; returns whether the session moved. Call at a
     /// `top_k` boundary — mid-query the old pin keeps answers
-    /// consistent.
+    /// consistent. Dropping the old pin frees a retired epoch nobody
+    /// else holds.
     pub fn drain(&mut self, epochs: &EpochCache) -> bool {
-        if epochs.current_epoch() == self.pin.epoch() {
+        let current = epochs.current();
+        if current.number == self.epoch.number {
             return false;
         }
-        self.pin = epochs.pin();
+        self.epoch = current;
         true
     }
 }
@@ -1285,6 +1215,14 @@ fn fill_pair_chunk(
     }
 }
 
+/// Oversubscription factor for the work-stealing pairwise fill: the
+/// triangle is carved into this many cost-weighted blocks *per worker*,
+/// so that when the `op_cost` model underestimates a block, idle
+/// workers have tail blocks to steal instead of waiting out the error.
+/// Small enough that per-block overhead (one `Vec` + one claim) stays
+/// negligible against the fill itself.
+const PAIR_STEAL_BLOCKS_PER_WORKER: usize = 4;
+
 /// Chunk boundaries for the sharded pairwise pass: `workers + 1` fence
 /// posts over the linearised triangular index (from 0 to
 /// `n(n−1)/2`), placed at equal quantiles of the *cumulative per-pair
@@ -1296,14 +1234,6 @@ fn fill_pair_chunk(
 /// can hand one worker almost all the real work. Boundaries only move
 /// *where* the table is split, never what is computed, so results stay
 /// byte-identical at every worker count.
-/// Oversubscription factor for the work-stealing pairwise fill: the
-/// triangle is carved into this many cost-weighted blocks *per worker*,
-/// so that when the `op_cost` model underestimates a block, idle
-/// workers have tail blocks to steal instead of waiting out the error.
-/// Small enough that per-block overhead (one `Vec` + one claim) stays
-/// negligible against the fill itself.
-const PAIR_STEAL_BLOCKS_PER_WORKER: usize = 4;
-
 fn weighted_chunk_bounds(sets: &[SharedTupleSet], workers: usize) -> Vec<usize> {
     let n = sets.len();
     let costs: Vec<u64> = sets.iter().map(|s| s.op_cost() as u64).collect();
@@ -1833,7 +1763,6 @@ mod tests {
         check::<Parallelism>();
         check::<Epoch>();
         check::<EpochCache>();
-        check::<EpochPin>();
         check::<EpochSession>();
         check::<DeltaReport>();
     }
@@ -2207,7 +2136,25 @@ mod tests {
         assert_eq!(epochs.retired_count(), 0);
         assert_eq!(epochs.evicted_count(), 1);
         drop(session);
-        assert_eq!(epochs.current().pin_count(), 0);
+        assert_eq!(epochs.retired_count(), 0);
+    }
+
+    #[test]
+    fn drained_epoch_snapshot_is_freed_at_once() {
+        let db = db();
+        let cache = ProfileCache::warm(&db, BaseQuery::dblp(), [&p("dblp.venue='VLDB'")]).unwrap();
+        let epochs = EpochCache::new(cache.clone());
+        let mut session = EpochSession::open(&epochs);
+        let old = Arc::downgrade(&session.cache());
+
+        epochs.publish(cache);
+        assert!(old.upgrade().is_some(), "the session still pins epoch 1");
+
+        // Draining drops the last pin: the snapshot goes with it, without
+        // waiting for another EpochCache call.
+        assert!(session.drain(&epochs));
+        assert!(old.upgrade().is_none(), "epoch 1's snapshot was freed");
+        assert_eq!(epochs.evicted_count(), 1);
     }
 
     #[test]

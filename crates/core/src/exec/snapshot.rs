@@ -57,14 +57,13 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use relstore::{parse_predicate, ColRef, Database, Predicate, Value};
+use relstore::{parse_predicate, ColRef, Database, Value};
 
 use crate::error::{HypreError, Result};
 use crate::tupleset::{ContainerDump, TupleSet};
 
 use super::{
-    corpus_fingerprint, index_by_first, unrank_pair, BaseQuery, PairEntry, PairwiseCache,
-    ProfileCache, SharedTupleSet, TupleInterner,
+    index_by_first, unrank_pair, BaseQuery, PairEntry, PairwiseCache, ProfileCache, TupleInterner,
 };
 
 /// File magic: identifies a HYPRE profile snapshot.
@@ -370,14 +369,9 @@ impl ProfileCache {
             w_value(&mut buf, self.interner.value(id))?;
         }
 
-        let mut keys: Vec<&String> = self.sets.keys().collect();
-        keys.sort();
-        w_u64(&mut buf, keys.len() as u64);
-        for key in keys {
+        w_u64(&mut buf, self.sets.len() as u64);
+        for (key, (_, set)) in self.sorted_sets() {
             w_str(&mut buf, key)?;
-            let Some(set) = self.sets.get(key) else {
-                unreachable!("key came from the map");
-            };
             w_set(&mut buf, set);
         }
 
@@ -418,16 +412,7 @@ impl ProfileCache {
             detail: format!("read {}: {e}", path.display()),
         })?;
         let (cache, pairs) = ProfileCache::from_bytes(&bytes)?;
-        let current = corpus_fingerprint(db, &cache.base);
-        for ((table, warmed), (_, now)) in cache.fingerprint.iter().zip(&current) {
-            if warmed != now {
-                return Err(HypreError::StaleSnapshot {
-                    table: table.clone(),
-                    warmed: *warmed,
-                    current: *now,
-                });
-            }
-        }
+        cache.check_corpus(db, false)?;
         Ok((cache, pairs))
     }
 
@@ -491,8 +476,7 @@ impl ProfileCache {
 
         let raw_sets = r.r_u64("tuple-set count")?;
         let n_sets = r.checked_count(raw_sets, 9, "tuple-set count")?;
-        let mut sets: HashMap<String, SharedTupleSet> = HashMap::with_capacity(n_sets);
-        let mut preds: HashMap<String, Predicate> = HashMap::with_capacity(n_sets);
+        let mut sets = HashMap::with_capacity(n_sets);
         for _ in 0..n_sets {
             let key = r.r_str("tuple-set predicate key")?;
             let set = r.r_set(universe, "tuple-set container")?;
@@ -502,10 +486,9 @@ impl ProfileCache {
             let pred = parse_predicate(&key).map_err(|e| HypreError::SnapshotCorrupt {
                 detail: format!("unparseable predicate key '{key}': {e}"),
             })?;
-            if sets.insert(key.clone(), Arc::new(set)).is_some() {
+            if sets.insert(key, (pred, Arc::new(set))).is_some() {
                 return Err(r.corrupt("duplicate tuple-set key"));
             }
-            preds.insert(key, pred);
         }
 
         let pairs = match r.r_u8("pairwise flag")? {
@@ -548,7 +531,6 @@ impl ProfileCache {
             base,
             interner: Arc::new(interner),
             sets,
-            preds,
             fingerprint,
         };
         Ok((cache, pairs))
@@ -620,12 +602,10 @@ mod tests {
         assert_eq!(loaded.fingerprint, cache.fingerprint);
         assert_eq!(loaded.tuple_universe(), cache.tuple_universe());
         assert_eq!(loaded.len(), cache.len());
-        for (key, set) in &cache.sets {
-            let restored = loaded.get(key).unwrap();
-            assert_eq!(&*restored, &**set, "set for {key}");
-        }
-        for (key, pred) in &cache.preds {
-            assert_eq!(loaded.preds.get(key), Some(pred), "pred for {key}");
+        for (key, (pred, set)) in &cache.sets {
+            let (loaded_pred, restored) = loaded.sets.get(key).unwrap();
+            assert_eq!(&**restored, &**set, "set for {key}");
+            assert_eq!(loaded_pred, pred, "pred for {key}");
         }
         for id in 0..cache.tuple_universe() as u32 {
             assert_eq!(loaded.interner.value(id), cache.interner.value(id));

@@ -56,16 +56,6 @@ impl Intensity {
     pub fn value(self) -> f64 {
         self.0
     }
-
-    /// Whether this is a positive (liked) intensity.
-    pub fn is_positive(self) -> bool {
-        self.0 > 0.0
-    }
-
-    /// Whether this is a negative (disliked) intensity.
-    pub fn is_negative(self) -> bool {
-        self.0 < 0.0
-    }
 }
 
 impl std::fmt::Display for Intensity {

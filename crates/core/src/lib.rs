@@ -110,7 +110,7 @@ pub mod prelude {
     pub use crate::enhance::{enhance_query, score_tuples, EnhancedQuery, ScoredTuple};
     pub use crate::error::{HypreError, Result};
     pub use crate::exec::{
-        BaseQuery, DeltaReport, Epoch, EpochCache, EpochPin, EpochSession, Executor, PairEntry,
+        BaseQuery, DeltaReport, Epoch, EpochCache, EpochSession, Executor, PairEntry,
         PairwiseCache, Parallelism, ProfileCache, SharedTupleSet, TupleInterner,
     };
     pub use crate::graph::{

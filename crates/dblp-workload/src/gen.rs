@@ -177,11 +177,6 @@ impl PaperStream {
         })
     }
 
-    /// Papers this stream will yield in total.
-    pub fn paper_count(&self) -> usize {
-        self.config.papers
-    }
-
     /// Hands back the RNG once the paper phase is done, positioned
     /// exactly where [`generate`]'s citation phase expects it.
     fn into_rng(self) -> StdRng {

@@ -38,7 +38,6 @@ pub struct PaperGraph {
     pub graph: PropertyGraph,
     author_nodes: BTreeMap<u64, NodeId>,
     venue_nodes: BTreeMap<String, NodeId>,
-    paper_nodes: BTreeMap<u64, NodeId>,
     /// Per-batch node insertion timings from the build.
     pub batch_stats: Vec<graphstore::BatchStat>,
 }
@@ -146,7 +145,6 @@ impl PaperGraph {
             graph,
             author_nodes,
             venue_nodes,
-            paper_nodes,
             batch_stats,
         })
     }
@@ -177,11 +175,6 @@ impl PaperGraph {
     /// The graph node for a venue name.
     pub fn venue_node(&self, venue: &str) -> Option<NodeId> {
         self.venue_nodes.get(venue).copied()
-    }
-
-    /// The graph node for a paper id.
-    pub fn paper_node(&self, pid: u64) -> Option<NodeId> {
-        self.paper_nodes.get(&pid).copied()
     }
 
     /// Co-author ids of `aid` over derived `COAUTHOR` edges, sorted.

@@ -86,12 +86,6 @@ impl SelectQuery {
         self
     }
 
-    /// Conjoins another predicate onto the current filter.
-    pub fn and_filter(mut self, predicate: Predicate) -> Self {
-        self.filter = std::mem::replace(&mut self.filter, Predicate::True).and(predicate);
-        self
-    }
-
     /// The tables in the FROM list, in join order.
     pub fn tables(&self) -> &[String] {
         &self.from

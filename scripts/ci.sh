@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # CI gate for the HYPRE reproduction workspace:
 #   fmt check → clippy (warnings are errors) → build (all targets) →
-#   workspace tests → the end-to-end benchmark's own tests (e2ebench,
-#   a separate package: percentile and span arithmetic) → rustdoc
+#   workspace tests → the end-to-end benchmark's own tests → rustdoc
 #   (warnings are errors) → compile-and-run every example (doc rot and
-#   broken examples fail CI).
+#   broken examples fail CI). The end-to-end benchmark (e2ebench) is a
+#   separate package outside the workspace, so fmt and clippy run on it
+#   in steps of their own.
 #
 # Usage: scripts/ci.sh [--release-bench] [--scaling] [--bench-1m]
 #   --release-bench  additionally regenerates the bench report and runs
@@ -64,8 +65,14 @@ done
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> cargo fmt --manifest-path e2ebench/Cargo.toml --check"
+cargo fmt --manifest-path e2ebench/Cargo.toml --check
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo clippy --manifest-path e2ebench/Cargo.toml --all-targets -- -D warnings"
+cargo clippy --offline --manifest-path e2ebench/Cargo.toml --all-targets -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release
